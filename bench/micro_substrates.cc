@@ -131,7 +131,7 @@ void BM_GbdtPrediction(benchmark::State& state) {
   model.Train(data);
   std::vector<float> row(FeatureDim(), 0.5f);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.PredictRow(row));
+    benchmark::DoNotOptimize(model.PredictRow(row.data()));
   }
 }
 BENCHMARK(BM_GbdtPrediction);

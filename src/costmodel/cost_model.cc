@@ -190,12 +190,27 @@ bool GbdtCostModel::Deserialize(const std::string& bytes) {
     }
     double label = r.GetF64();
     uint64_t task = r.GetU64();
-    if (!r.ok() || !std::isfinite(label) || label < 0.0) {
+    // Retrain concatenates every sample into one matrix: widths must agree.
+    if (!r.ok() || !std::isfinite(label) || label < 0.0 ||
+        (!samples.empty() && m.dim() != samples.front().dim())) {
       return false;
     }
     samples.push_back(std::move(m));
     labels.push_back(label);
     task_ids.push_back(task);
+  }
+  // Prediction rows come from the extractor that produced the samples, so a
+  // split on a column the samples lack would read past the end of every row.
+  size_t dim = samples.empty() ? 0 : samples.front().dim();
+  if (model.trained() && samples.empty()) {
+    return false;
+  }
+  for (const Tree& tree : model.trees()) {
+    for (const TreeNode& node : tree.nodes) {
+      if (node.feature >= 0 && static_cast<size_t>(node.feature) >= dim) {
+        return false;
+      }
+    }
   }
   uint64_t num_bests = r.GetVarint();
   if (!r.ok() || num_bests > kMaxModelSamples) {
@@ -256,78 +271,44 @@ std::vector<double> GbdtCostModel::Predict(
 std::vector<double> GbdtCostModel::PredictBatch(
     const std::vector<const FeatureMatrix*>& programs) {
   CountPredict(static_cast<int64_t>(programs.size()));
-  std::vector<double> scores(programs.size(), 0.0);
-  if (!model_.trained()) {
-    for (size_t p = 0; p < programs.size(); ++p) {
-      if (programs[p]->empty()) {
-        scores[p] = kInvalidScore;  // empty features: failed lowering
-      }
-    }
-    return scores;
-  }
-  // Gather row pointers across every program into one forest pass.
-  std::vector<const float*> rows;
+  std::vector<double> scores;
+  scores.reserve(programs.size());
   for (const FeatureMatrix* m : programs) {
-    for (size_t r = 0; r < m->rows(); ++r) {
-      rows.push_back(m->row(r));
-    }
-  }
-  std::vector<double> row_scores(rows.size());
-  model_.PredictStatementRows(rows.data(), rows.size(), row_scores.data());
-  size_t cursor = 0;
-  for (size_t p = 0; p < programs.size(); ++p) {
-    const FeatureMatrix* m = programs[p];
     if (m->empty()) {
-      scores[p] = kInvalidScore;
+      scores.push_back(kInvalidScore);  // empty features: failed lowering
       continue;
     }
-    // base + s0 + s1 + ... in row order: the same association the scalar
-    // PredictProgram uses, so scores are bit-identical to the unbatched path.
-    double score = model_.base_score();
-    for (size_t r = 0; r < m->rows(); ++r) {
-      score += row_scores[cursor + r];
+    // base + s0 + s1 + ... in row order, so a program's score never depends
+    // on which batch it was scored in.
+    double score = model_.trained() ? model_.base_score() : 0.0;
+    for (double s : StatementScores(*m)) {
+      score += s;
     }
-    cursor += m->rows();
-    scores[p] = score;
+    scores.push_back(score);
   }
   return scores;
 }
 
 std::vector<double> GbdtCostModel::PredictStatements(const FeatureMatrix& rows) {
   CountPredict(1);
-  std::vector<double> scores(rows.rows(), 0.0);
-  if (!model_.trained() || rows.empty()) {
-    return scores;
-  }
-  std::vector<const float*> ptrs;
-  ptrs.reserve(rows.rows());
-  for (size_t r = 0; r < rows.rows(); ++r) {
-    ptrs.push_back(rows.row(r));
-  }
-  model_.PredictStatementRows(ptrs.data(), ptrs.size(), scores.data());
-  return scores;
+  return StatementScores(rows);
 }
 
 std::vector<std::vector<double>> GbdtCostModel::PredictStatementsBatch(
     const std::vector<const FeatureMatrix*>& programs) {
   CountPredict(static_cast<int64_t>(programs.size()));
-  std::vector<std::vector<double>> scores(programs.size());
-  std::vector<const float*> rows;
+  std::vector<std::vector<double>> scores;
+  scores.reserve(programs.size());
   for (const FeatureMatrix* m : programs) {
-    for (size_t r = 0; r < m->rows(); ++r) {
-      rows.push_back(m->row(r));
-    }
+    scores.push_back(StatementScores(*m));
   }
-  std::vector<double> row_scores(rows.size(), 0.0);
-  if (model_.trained() && !rows.empty()) {
-    model_.PredictStatementRows(rows.data(), rows.size(), row_scores.data());
-  }
-  size_t cursor = 0;
-  for (size_t p = 0; p < programs.size(); ++p) {
-    size_t n = programs[p]->rows();
-    scores[p].assign(row_scores.begin() + static_cast<ptrdiff_t>(cursor),
-                     row_scores.begin() + static_cast<ptrdiff_t>(cursor + n));
-    cursor += n;
+  return scores;
+}
+
+std::vector<double> GbdtCostModel::StatementScores(const FeatureMatrix& rows) const {
+  std::vector<double> scores(rows.rows());
+  for (size_t r = 0; r < scores.size(); ++r) {
+    scores[r] = model_.PredictRow(rows.row(r));  // 0.0 while untrained
   }
   return scores;
 }

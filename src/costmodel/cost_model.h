@@ -6,8 +6,8 @@
 // tasks and retrains on every update.
 //
 // All entry points speak FeatureMatrix — the flat row-major features cached
-// on ProgramArtifacts — so batch prediction walks borrowed row pointers
-// straight into the compiled GBDT forest without copying a float.
+// on ProgramArtifacts — so prediction walks the GBDT over each borrowed
+// matrix's rows in place without copying a float.
 #ifndef ANSOR_SRC_COSTMODEL_COST_MODEL_H_
 #define ANSOR_SRC_COSTMODEL_COST_MODEL_H_
 
@@ -161,6 +161,9 @@ class GbdtCostModel : public CostModel {
 
  private:
   void Retrain();
+  // The one inference loop behind every Predict* entry point: the
+  // statement score of each row of `rows`, in row order.
+  std::vector<double> StatementScores(const FeatureMatrix& rows) const;
 
   GbdtParams params_;
   Gbdt model_;

@@ -8,17 +8,12 @@
 // matter more. We implement the same objective: per-row gradients derive from
 // the program-level residual, trees use histogram-based greedy splits.
 //
-// Inference is served from a CompiledForest: all trees flattened into shared
-// structure-of-arrays storage (feature / threshold / children / value), with
-// leaves rewritten to self-loop so every row walks a tree in exactly its
-// depth steps — a fixed-trip branchless loop that interleaves a block of rows
-// for instruction-level parallelism. Leaf values are pre-scaled by the
-// learning rate at compile time; batch results are bit-identical to the
-// scalar PredictRow loop (same products, same accumulation order).
+// Inference is one scalar tree walk per row: PredictRow sums the
+// learning-rate-scaled leaf of every tree in tree order. Callers score a
+// program as base_score() plus its rows' scores in row order.
 #ifndef ANSOR_SRC_COSTMODEL_GBDT_H_
 #define ANSOR_SRC_COSTMODEL_GBDT_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "src/features/feature_matrix.h"
@@ -49,10 +44,11 @@ struct TreeNode {
   double value = 0.0;  // leaf output
 };
 
+// Nodes are stored in preorder: every child index is greater than its
+// parent's, so a walk from node 0 always terminates.
 struct Tree {
   std::vector<TreeNode> nodes;
   double PredictRow(const float* row) const;
-  double PredictRow(const std::vector<float>& row) const { return PredictRow(row.data()); }
 };
 
 // A training set where rows are statements grouped into programs.
@@ -65,68 +61,36 @@ struct GbdtDataset {
   int num_programs() const { return static_cast<int>(labels.size()); }
 };
 
-// Forest compiled to structure-of-arrays node storage for batch inference.
-// Leaves self-loop (left == right == self), so traversal of tree t is a
-// fixed loop of depth(t) steps with no leaf test inside.
-class CompiledForest {
- public:
-  void Compile(const std::vector<Tree>& trees, double learning_rate);
-
-  bool empty() const { return roots_.empty(); }
-
-  // out[i] = sum over trees of the (learning-rate-scaled) leaf value for
-  // rows[i]. Rows are interleaved in blocks so independent traversals
-  // overlap; accumulation order per row is tree order, matching the scalar
-  // path bit for bit.
-  void PredictRows(const float* const* rows, size_t n, double* out) const;
-
- private:
-  std::vector<int32_t> feature_;
-  std::vector<float> threshold_;
-  std::vector<int32_t> left_;
-  std::vector<int32_t> right_;
-  std::vector<double> value_;  // pre-scaled by learning_rate
-  std::vector<int32_t> roots_;
-  std::vector<int32_t> depth_;
-};
-
 class Gbdt {
  public:
   explicit Gbdt(GbdtParams params = GbdtParams()) : params_(params) {}
 
-  // Trains from scratch on the dataset (sum-over-group objective) and
-  // compiles the forest for batch inference.
+  // Trains from scratch on the dataset (sum-over-group objective).
   void Train(const GbdtDataset& data);
 
   bool trained() const { return !trees_.empty(); }
   double base_score() const { return base_score_; }
 
-  // Score of a single statement row (scalar reference path).
+  // Score of one statement row (excluding the base score). `row` must hold
+  // at least as many columns as the largest split feature.
   double PredictRow(const float* row) const;
-  double PredictRow(const std::vector<float>& row) const { return PredictRow(row.data()); }
-  // Batched statement scores via the compiled forest (bit-identical to the
-  // scalar path). out must have room for n values.
-  void PredictStatementRows(const float* const* rows, size_t n, double* out) const;
-  // Score of a program: base score plus the sum over its statement rows.
-  double PredictProgram(const std::vector<std::vector<float>>& rows) const;
 
   const std::vector<Tree>& trees() const { return trees_; }
-  const CompiledForest& forest() const { return forest_; }
   const GbdtParams& params() const { return params_; }
 
   // Binary codec (store layer, src/store/bytes.h): params, base score, and
   // the trained trees with raw IEEE threshold/value bits, so a decoded
   // model's predictions are bit-identical to the encoder's. DecodeFrom
-  // validates every node index and recompiles the inference forest; it fails
-  // the reader (returning false, model untouched semantically) on malformed
-  // input.
+  // requires every child index to exceed its parent's (the preorder layout
+  // Train produces), so a decoded tree can neither cycle nor leave its node
+  // array; on malformed input it fails the reader and returns false with the
+  // model untouched.
   void EncodeTo(ByteWriter* w) const;
   bool DecodeFrom(ByteReader* r);
 
  private:
   GbdtParams params_;
   std::vector<Tree> trees_;
-  CompiledForest forest_;
   double base_score_ = 0.0;
 };
 

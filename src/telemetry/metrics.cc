@@ -28,6 +28,8 @@ std::string JsonNumber(double v) {
   return buf;
 }
 
+}  // namespace
+
 std::string JsonString(const std::string& s) {
   std::string out = "\"";
   for (char c : s) {
@@ -51,8 +53,6 @@ std::string JsonString(const std::string& s) {
   out += '"';
   return out;
 }
-
-}  // namespace
 
 int Histogram::BucketIndex(double value) {
   if (!(value > 0.0) || !std::isfinite(value)) return 0;

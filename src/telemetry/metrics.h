@@ -148,6 +148,10 @@ class MetricsRegistry {
   std::unordered_map<std::string, Entry*> by_name_;
 };
 
+// `s` as a quoted JSON string literal: quotes, backslashes and control
+// characters escaped. Shared by the metrics and trace exporters.
+std::string JsonString(const std::string& s);
+
 }  // namespace ansor
 
 #endif  // ANSOR_SRC_TELEMETRY_METRICS_H_

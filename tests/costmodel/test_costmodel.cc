@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <thread>
 
 #include "src/costmodel/cost_model.h"
@@ -57,12 +59,12 @@ TEST(Gbdt, LearnsSyntheticFunction) {
   std::vector<double> truth;
   size_t row = 0;
   for (int p = 0; p < test.num_programs(); ++p) {
-    std::vector<std::vector<float>> rows;
+    double score = model.base_score();
     while (row < test.rows.rows() && test.group[row] == p) {
-      rows.emplace_back(test.rows.row(row), test.rows.row(row) + test.rows.dim());
+      score += model.PredictRow(test.rows.row(row));
       ++row;
     }
-    preds.push_back(model.PredictProgram(rows));
+    preds.push_back(score);
     truth.push_back(test.labels[static_cast<size_t>(p)]);
   }
   double acc = PairwiseComparisonAccuracy(preds, truth);
@@ -73,7 +75,8 @@ TEST(Gbdt, EmptyDatasetIsSafe) {
   Gbdt model;
   model.Train(GbdtDataset{});
   EXPECT_FALSE(model.trained());
-  EXPECT_DOUBLE_EQ(model.PredictRow(std::vector<float>(8, 0.0f)), 0.0);
+  std::vector<float> row(8, 0.0f);
+  EXPECT_DOUBLE_EQ(model.PredictRow(row.data()), 0.0);
 }
 
 TEST(Gbdt, WeightedLossPrioritizesFastPrograms) {
@@ -99,29 +102,7 @@ TEST(Gbdt, WeightedLossPrioritizesFastPrograms) {
   hi[0] = 0.95f;
   std::vector<float> lo(4, 0.0f);
   lo[0] = 0.05f;
-  EXPECT_GT(model.PredictProgram({hi}), model.PredictProgram({lo}));
-}
-
-TEST(Gbdt, BatchedForestMatchesScalarBitExact) {
-  // The compiled SoA forest must reproduce the scalar per-row tree walk bit
-  // for bit: leaf values are pre-scaled by the same double product and
-  // accumulated in the same tree order, so EXPECT_EQ (not NEAR) is correct.
-  Rng rng(7);
-  GbdtDataset train = MakeSyntheticDataset(120, 3, &rng);
-  Gbdt model;
-  model.Train(train);
-  ASSERT_TRUE(model.trained());
-
-  GbdtDataset test = MakeSyntheticDataset(50, 3, &rng);
-  std::vector<const float*> ptrs;
-  for (size_t r = 0; r < test.rows.rows(); ++r) {
-    ptrs.push_back(test.rows.row(r));
-  }
-  std::vector<double> batched(ptrs.size());
-  model.PredictStatementRows(ptrs.data(), ptrs.size(), batched.data());
-  for (size_t r = 0; r < ptrs.size(); ++r) {
-    EXPECT_EQ(batched[r], model.PredictRow(ptrs[r])) << "row " << r;
-  }
+  EXPECT_GT(model.PredictRow(hi.data()), model.PredictRow(lo.data()));
 }
 
 TEST(Gbdt, MaxBinsOutOfRangeDies) {
@@ -193,7 +174,7 @@ TEST(CostModelTest, NormalizationAcrossTasks) {
 }
 
 TEST(CostModelTest, BatchedPredictionsMatchUnbatched) {
-  // PredictBatch gathers rows from every program into one forest pass; the
+  // A program's score must not depend on the batch it is scored in: the
   // per-program sums must equal the one-at-a-time path bit for bit (the
   // determinism matrix depends on batched == unbatched).
   Rng rng(21);
@@ -276,6 +257,72 @@ TEST(CostModelTest, ConcurrentPredictBatchIsSafe) {
   }
 }
 
+// Hex-float rendering so a golden mismatch prints a paste-ready literal.
+std::string HexFloat(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+TEST(CostModelTest, PinnedPredictionsGolden) {
+  // Scores of a model trained on fixed synthetic data, pinned bit for bit:
+  // any change to training, the tree walk, or the base + s0 + s1 + ...
+  // accumulation order shows up here. Statement scores exclude the base.
+  Rng rng(29);
+  auto random_program = [&rng](int rows) {
+    FeatureMatrix m;
+    for (int r = 0; r < rows; ++r) {
+      std::vector<float> row(6);
+      for (auto& v : row) {
+        v = static_cast<float>(rng.Uniform());
+      }
+      m.AppendRow(row);
+    }
+    return m;
+  };
+  GbdtCostModel model;
+  std::vector<FeatureMatrix> train;
+  std::vector<double> throughputs;
+  for (int i = 0; i < 60; ++i) {
+    train.push_back(random_program(1 + i % 3));
+    const float* row = train.back().row(0);
+    throughputs.push_back(1e9 * (0.1 + row[1] + 0.5 * row[4]));
+  }
+  model.Update(/*task_id=*/5, train, throughputs);
+
+  std::vector<FeatureMatrix> probes = {random_program(1), random_program(2),
+                                       random_program(3), FeatureMatrix(),
+                                       random_program(2)};
+  std::vector<const FeatureMatrix*> ptrs;
+  for (const FeatureMatrix& m : probes) {
+    ptrs.push_back(&m);
+  }
+  const std::vector<double> kPrograms = {0x1.81f2d834a3224p-2, 0x1.008f2cd3ebcf7p-1,
+                                         0x1.9ab21a97c83bcp-1, CostModel::kInvalidScore,
+                                         0x1.41b58213cde04p-1};
+  const std::vector<std::vector<double>> kStatements = {
+      {-0x1.1cc378b545faap-2},
+      {-0x1.a39e7f680fdaap-4, -0x1.a582bb406c3b7p-5},
+      {-0x1.c86f0adde7fb2p-6, -0x1.c03a3580049b6p-7, 0x1.826d4d3f0bfe8p-3},
+      {},
+      {-0x1.a86b5fdf34b49p-9, -0x1.7fa76028ef2fbp-6}};
+
+  std::vector<double> programs = model.PredictBatch(ptrs);
+  ASSERT_EQ(programs.size(), kPrograms.size());
+  for (size_t p = 0; p < programs.size(); ++p) {
+    EXPECT_EQ(programs[p], kPrograms[p]) << "program " << p << ": " << HexFloat(programs[p]);
+  }
+  std::vector<std::vector<double>> statements = model.PredictStatementsBatch(ptrs);
+  ASSERT_EQ(statements.size(), kStatements.size());
+  for (size_t p = 0; p < statements.size(); ++p) {
+    ASSERT_EQ(statements[p].size(), kStatements[p].size()) << "program " << p;
+    for (size_t s = 0; s < statements[p].size(); ++s) {
+      EXPECT_EQ(statements[p][s], kStatements[p][s])
+          << "program " << p << " statement " << s << ": " << HexFloat(statements[p][s]);
+    }
+  }
+}
+
 TEST(CostModelTest, RandomModelIsUniform) {
   RandomCostModel model(1);
   std::vector<FeatureMatrix> programs;
@@ -308,7 +355,7 @@ TEST(Gbdt, BinaryCodecRoundTripsBitExact) {
     for (auto& v : row) {
       v = static_cast<float>(rng.Uniform());
     }
-    EXPECT_EQ(decoded.PredictRow(row), model.PredictRow(row));  // bit-identical
+    EXPECT_EQ(decoded.PredictRow(row.data()), model.PredictRow(row.data()));  // bit-identical
   }
 }
 

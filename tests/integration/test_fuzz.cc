@@ -14,7 +14,9 @@
 #include "src/search/record_log.h"
 #include "src/sketch/sketch.h"
 #include "src/store/artifact_store.h"
+#include "src/store/bytes.h"
 #include "src/store/record_store.h"
+#include "src/store/serde.h"
 #include "tests/testing.h"
 
 namespace ansor {
@@ -270,6 +272,95 @@ TEST_P(ModelFuzz, MutatedModelFilesNeverAbort) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelFuzz, ::testing::Range(0, 4));
+
+// A model file assembled field by field in the GbdtCostModel::Serialize
+// layout around hand-built trees, so a test can plant structures that Train
+// never emits. Every sample is labelled 1e9 under task 1.
+std::string CraftModelFile(const std::vector<std::vector<TreeNode>>& trees,
+                           const std::vector<FeatureMatrix>& samples) {
+  GbdtParams params;
+  StringTable strings;
+  ByteWriter body;
+  body.PutZigzag(params.num_trees);
+  body.PutZigzag(params.max_depth);
+  body.PutF64(params.learning_rate);
+  body.PutF64(params.lambda);
+  body.PutZigzag(params.max_bins);
+  body.PutZigzag(params.min_rows_per_leaf);
+  body.PutF64(params.min_gain);
+  body.PutF64(/*base_score=*/0.5);
+  body.PutVarint(trees.size());
+  for (const std::vector<TreeNode>& nodes : trees) {
+    body.PutVarint(nodes.size());
+    for (const TreeNode& node : nodes) {
+      body.PutZigzag(node.feature);
+      body.PutF32(node.threshold);
+      body.PutZigzag(node.left);
+      body.PutZigzag(node.right);
+      body.PutF64(node.value);
+    }
+  }
+  body.PutVarint(samples.size());
+  for (const FeatureMatrix& m : samples) {
+    EncodeFeatureMatrix(m, &strings, &body);
+    body.PutF64(1e9);
+    body.PutU64(1);
+  }
+  body.PutVarint(1);
+  body.PutU64(1);
+  body.PutF64(1e9);
+  ByteWriter w;
+  w.PutRaw("ANSRGBM1", 8);
+  strings.Encode(&w);
+  w.PutRaw(body.buffer().data(), body.size());
+  return w.Take();
+}
+
+TreeNode Split(int feature, int left, int right) {
+  TreeNode node;
+  node.feature = feature;
+  node.threshold = 0.5f;
+  node.left = left;
+  node.right = right;
+  return node;
+}
+
+TreeNode Leaf(double value) {
+  TreeNode node;
+  node.value = value;
+  return node;
+}
+
+TEST(CraftedModelFile, SplitFeatureMustFitSampleWidth) {
+  std::vector<FeatureMatrix> samples = {FeatureMatrix::FromRows({std::vector<float>(8, 0.25f)})};
+  GbdtCostModel model;
+  // The last column is fine (this also shows the crafted layout is sound).
+  ASSERT_TRUE(model.Deserialize(
+      CraftModelFile({{Split(7, 1, 2), Leaf(1.0), Leaf(2.0)}}, samples)));
+  EXPECT_DOUBLE_EQ(model.Predict(samples)[0], 0.5 + GbdtParams().learning_rate * 1.0);
+  // A split on a column the samples lack would read past the end of every
+  // row the model is asked to score.
+  EXPECT_FALSE(model.Deserialize(
+      CraftModelFile({{Split(100000, 1, 2), Leaf(1.0), Leaf(2.0)}}, samples)));
+  EXPECT_FALSE(model.Deserialize(
+      CraftModelFile({{Split(8, 1, 2), Leaf(1.0), Leaf(2.0)}}, samples)));
+  // Trees without samples leave no width to check splits against.
+  EXPECT_FALSE(model.Deserialize(CraftModelFile({{Leaf(1.0)}}, {})));
+  // Retrain concatenates samples, so their widths must agree.
+  std::vector<FeatureMatrix> mixed = {samples[0],
+                                      FeatureMatrix::FromRows({std::vector<float>(4, 0.25f)})};
+  EXPECT_FALSE(model.Deserialize(CraftModelFile({{Leaf(1.0)}}, mixed)));
+}
+
+TEST(CraftedModelFile, CyclicTreeRejected) {
+  // A split whose children point back at itself (or at an earlier node)
+  // would make the tree walk loop forever; children must follow the parent.
+  std::vector<FeatureMatrix> samples = {FeatureMatrix::FromRows({std::vector<float>(8, 0.25f)})};
+  GbdtCostModel model;
+  EXPECT_FALSE(model.Deserialize(CraftModelFile({{Split(0, 0, 0)}}, samples)));
+  EXPECT_FALSE(model.Deserialize(
+      CraftModelFile({{Split(0, 1, 2), Split(0, 0, 2), Leaf(1.0)}}, samples)));
+}
 
 TEST(SamplerFuzz, HighTweakProbabilityStaysSound) {
   // Force the compute-location tweak on every sample: many placements are

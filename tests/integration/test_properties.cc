@@ -24,8 +24,11 @@ namespace {
 // ---------------------------------------------------------------------------
 // Sweep 1: sampled programs preserve semantics across shape grids.
 
+// Plain bytes, no pointers: GTest prints the parameter as a byte dump and
+// CTest bakes that dump into the test names, so a heap address here would
+// give the tests a new name on every run.
 struct ShapeCase {
-  std::string name;
+  char name[32];
   int64_t n, m, k;
 };
 
