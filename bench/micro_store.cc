@@ -3,8 +3,8 @@
 //
 //  1. Codec: a >=100k-record log of real sampled programs, replicated across
 //     synthetic task ids the way a fleet's history replicates structurally
-//     similar tasks. Binary-vs-text file size and load wall time (the store's
-//     interned tables + varint bodies vs one text line per record).
+//     similar tasks. Binary container size, load wall time (file -> records)
+//     and store rebuild wall time (decode + re-index).
 //  2. Warm start: cold artifact compilation (replay + lower + verify +
 //     features) vs restoring the same artifacts from a serialized
 //     ArtifactStore snapshot and serving them as cache hits.
@@ -19,6 +19,7 @@
 #include "bench/bench_util.h"
 #include "src/program/program_cache.h"
 #include "src/store/artifact_store.h"
+#include "src/store/bytes.h"
 #include "src/store/record_store.h"
 
 namespace ansor {
@@ -61,40 +62,37 @@ int Run() {
   size_t n_records = store.size();
 
   // --- 1. Codec: size + load time -------------------------------------------
-  std::string text_path = "bench_micro_store_records.log";
   std::string binary_path = "bench_micro_store_records.bin";
-  store.SaveToFile(text_path, RecordCodec::kText);
-  store.SaveToFile(binary_path, RecordCodec::kBinary);
-  size_t text_bytes = store.Serialize(RecordCodec::kText).size();
-  size_t binary_bytes = store.Serialize(RecordCodec::kBinary).size();
-  double size_ratio = static_cast<double>(text_bytes) /
-                      static_cast<double>(std::max<size_t>(binary_bytes, 1));
+  store.SaveToFile(binary_path);
+  size_t binary_bytes = store.Serialize().size();
 
   // Two load shapes: the streaming reader (file -> records, the codec cost
   // alone) and a full store rebuild (decode + re-index into a fresh
   // RecordStore, what a restarting service pays end to end).
-  auto time_stream = [&](const std::string& path) {
+  auto time_stream = [&] {
     size_t seen = 0;
     auto t0 = std::chrono::steady_clock::now();
-    RecordLoadStats stats =
-        RecordStore::StreamFile(path, [&seen](TuningRecord) { ++seen; });
+    std::string bytes;
+    RecordLoadStats stats;
+    if (ReadFileBytes(binary_path, &bytes)) {
+      stats = RecordStore::ForEachRecord(bytes, [&seen](TuningRecord) { ++seen; });
+    }
     auto t1 = std::chrono::steady_clock::now();
     if (!stats || seen != n_records) {
-      std::printf("ERROR: %s streamed %zu/%zu records\n", path.c_str(), seen, n_records);
+      std::printf("ERROR: streamed %zu/%zu records\n", seen, n_records);
       return -1.0;
     }
     return Seconds(t0, t1);
   };
-  auto time_load = [&](const std::string& path) {
+  auto time_load = [&] {
     // Dedup off: loading is a pure decode pass, matching what a restarting
     // fleet service does before dedup re-filters.
     RecordStore loaded(RecordStore::Options{false});
     auto t0 = std::chrono::steady_clock::now();
-    RecordLoadStats stats = loaded.LoadFromFile(path);
+    RecordLoadStats stats = loaded.LoadFromFile(binary_path);
     auto t1 = std::chrono::steady_clock::now();
     if (!stats || stats.loaded != n_records) {
-      std::printf("ERROR: %s loaded %zu/%zu records\n", path.c_str(), stats.loaded,
-                  n_records);
+      std::printf("ERROR: loaded %zu/%zu records\n", stats.loaded, n_records);
       return -1.0;
     }
     return Seconds(t0, t1);
@@ -107,24 +105,17 @@ int Run() {
     }
     return std::min(best, again);
   };
-  double text_load_sec = best_of([&] { return time_stream(text_path); });
-  double binary_load_sec = best_of([&] { return time_stream(binary_path); });
-  double text_rebuild_sec = best_of([&] { return time_load(text_path); });
-  double binary_rebuild_sec = best_of([&] { return time_load(binary_path); });
-  std::remove(text_path.c_str());
+  double binary_load_sec = best_of(time_stream);
+  double binary_rebuild_sec = best_of(time_load);
   std::remove(binary_path.c_str());
-  if (text_load_sec < 0 || binary_load_sec < 0 || text_rebuild_sec < 0 ||
-      binary_rebuild_sec < 0) {
+  if (binary_load_sec < 0 || binary_rebuild_sec < 0) {
     return 1;
   }
-  double load_speedup = text_load_sec / std::max(binary_load_sec, 1e-12);
-  double rebuild_speedup = text_rebuild_sec / std::max(binary_rebuild_sec, 1e-12);
-  std::printf("%zu records: text %zu bytes, binary %zu bytes (%.2fx smaller)\n",
-              n_records, text_bytes, binary_bytes, size_ratio);
-  std::printf("load (file -> records): text %.3f s, binary %.3f s (%.2fx faster)\n",
-              text_load_sec, binary_load_sec, load_speedup);
-  std::printf("store rebuild (+ re-index): text %.3f s, binary %.3f s (%.2fx faster)\n",
-              text_rebuild_sec, binary_rebuild_sec, rebuild_speedup);
+  std::printf("%zu records: %zu bytes (%.1f bytes/record)\n", n_records, binary_bytes,
+              static_cast<double>(binary_bytes) /
+                  static_cast<double>(std::max<size_t>(n_records, 1)));
+  std::printf("load (file -> records) %.3f s, store rebuild (+ re-index) %.3f s\n",
+              binary_load_sec, binary_rebuild_sec);
 
   // --- 2. Warm start vs cold compilation ------------------------------------
   ComputeDAG dag = MakeMatmul(64, 64, 64);
@@ -223,17 +214,13 @@ int Run() {
 
   std::printf(
       "BENCH_JSON {\"bench\":\"micro_store\",\"records\":%zu,"
-      "\"text_bytes\":%zu,\"binary_bytes\":%zu,\"size_ratio\":%.3f,"
-      "\"text_load_sec\":%.4f,\"binary_load_sec\":%.4f,\"load_speedup\":%.3f,"
-      "\"text_rebuild_sec\":%.4f,\"binary_rebuild_sec\":%.4f,"
-      "\"rebuild_speedup\":%.3f,"
+      "\"binary_bytes\":%zu,\"binary_load_sec\":%.4f,\"binary_rebuild_sec\":%.4f,"
       "\"cold_build_sec\":%.4f,\"warm_start_sec\":%.4f,\"warm_speedup\":%.3f,"
       "\"warm_misses\":%lld,\"train_from_store_samples\":%zu,"
       "\"cold_best_seconds\":%.6g,\"pretrained_best_seconds\":%.6g,"
       "\"transfer_gain\":%.3f,%s}\n",
-      n_records, text_bytes, binary_bytes, size_ratio, text_load_sec, binary_load_sec,
-      load_speedup, text_rebuild_sec, binary_rebuild_sec, rebuild_speedup,
-      cold_build_sec, warm_start_sec, warm_speedup,
+      n_records, binary_bytes, binary_load_sec, binary_rebuild_sec, cold_build_sec,
+      warm_start_sec, warm_speedup,
       static_cast<long long>(warm_stats.misses), train_stats.used, cold_best,
       pretrained_best, transfer_gain, MetricsBlock(registry).c_str());
   return 0;

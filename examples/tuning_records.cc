@@ -32,9 +32,8 @@ int main() {
     tuning.program_cache = &cache;
     ansor::TuneResult r = ansor::TuneTask(task, &measurer, &model, trials, 16, tuning);
 
-    // Records go to the compact binary codec (text stays readable via
-    // RecordCodec::kText — the legacy RecordLog format).
-    store.SaveToFile(record_path, ansor::RecordCodec::kBinary);
+    // Records go to the store's compact binary container.
+    store.SaveToFile(record_path);
     // The artifact snapshot is what makes the *next* run warm: every
     // compiled program's features and legality verdicts, ready to serve as
     // cache hits without replay/lowering.

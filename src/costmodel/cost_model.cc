@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "src/ir/state.h"
 #include "src/store/artifact_store.h"
@@ -95,7 +93,7 @@ TrainFromStoreStats GbdtCostModel::TrainFromStore(const RecordStore& records,
       ++stats.missing_features;
       continue;
     }
-    // Live measurements persist their FLOPS throughput; legacy text records
+    // Live measurements persist their FLOPS throughput; records without one
     // only carry seconds. 1/seconds differs from FLOPS by the task's
     // constant flop count, which the per-task normalization divides away.
     double throughput = record.throughput > 0.0
@@ -239,23 +237,12 @@ bool GbdtCostModel::Deserialize(const std::string& bytes) {
 }
 
 bool GbdtCostModel::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return false;
-  }
-  std::string bytes = Serialize();
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return out.good();
+  return WriteFileBytes(path, Serialize());
 }
 
 bool GbdtCostModel::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(buffer.str());
+  std::string bytes;
+  return ReadFileBytes(path, &bytes) && Deserialize(bytes);
 }
 
 std::vector<double> GbdtCostModel::Predict(

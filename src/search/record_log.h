@@ -1,71 +1,22 @@
-// Tuning-record logs: the single-tuner compatibility wrapper over the store
-// layer (src/store/record_store.h), mirroring TVM auto_scheduler's record
-// files.
+// Tuning-record logs, mirroring TVM auto_scheduler's record files.
 //
 // Records let users resume tuning, apply the best found schedule without
-// re-searching, and share results between machines. A RecordLog is a thin
-// RecordStore in append-log mode (no dedup — a tuner never re-measures the
-// same program, and lossless round-trips must keep whatever the caller
-// added) whose default on-disk codec is the legacy text format:
-//
-//   task=<hex hash>|seconds=<float>|steps=<step>;<step>;...
-//
-// Loading accepts both codecs (auto-detected), so a RecordLog reads binary
-// stores and a RecordStore reads old text logs — the migration path runs in
-// both directions. Fleet-scale persistence (signature dedup, binary
-// container, client attribution) lives on RecordStore itself; new code
-// should use it directly.
+// re-searching, and share results between machines. A RecordLog is a
+// RecordStore (src/store/record_store.h) in append-log mode: no dedup,
+// because a tuner never re-measures the same program and lossless
+// round-trips must keep whatever the caller added. It persists in the
+// store's binary container; fleet-scale features (signature dedup, client
+// attribution) are the same store with dedup on.
 #ifndef ANSOR_SRC_SEARCH_RECORD_LOG_H_
 #define ANSOR_SRC_SEARCH_RECORD_LOG_H_
-
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "src/store/record_store.h"
 
 namespace ansor {
 
-class RecordLog {
+class RecordLog : public RecordStore {
  public:
-  RecordLog() : store_(RecordStore::Options{/*dedup=*/false}) {}
-
-  void Add(TuningRecord record) { store_.Add(std::move(record)); }
-  const std::vector<TuningRecord>& records() const { return store_.records(); }
-
-  // Best (lowest-latency) record for a task; nullopt if none logged.
-  std::optional<TuningRecord> BestFor(uint64_t task_id) const {
-    return store_.BestFor(task_id);
-  }
-
-  // Replays the best record for the DAG's task id; returns a failed state if
-  // no record exists or replay breaks (e.g. the DAG changed).
-  State ReplayBest(const ComputeDAG* dag) const { return store_.ReplayBest(dag); }
-
-  bool SaveToFile(const std::string& path) const {
-    return store_.SaveToFile(path, RecordCodec::kText);
-  }
-  // Appends the file's records (text or binary, auto-detected). The stats
-  // surface what actually happened: loaded vs skipped-as-malformed counts,
-  // with ok false when the file could not be read at all. Converts to bool
-  // for the legacy `if (!log.LoadFromFile(path))` call sites.
-  RecordLoadStats LoadFromFile(const std::string& path) {
-    return store_.LoadFromFile(path);
-  }
-
-  std::string Serialize() const { return store_.Serialize(RecordCodec::kText); }
-  // Parses a multi-line text dump; malformed lines are skipped. Returns the
-  // number of records loaded (Deserialize on the underlying store reports
-  // the full loaded/skipped stats).
-  size_t Deserialize(const std::string& text) { return store_.Deserialize(text).loaded; }
-
-  // The underlying store (e.g. to re-serialize an old log into the binary
-  // codec: log.store().Serialize()).
-  const RecordStore& store() const { return store_; }
-  RecordStore& store() { return store_; }
-
- private:
-  RecordStore store_;
+  RecordLog() : RecordStore(Options{/*dedup=*/false}) {}
 };
 
 }  // namespace ansor

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "src/analysis/program_verifier.h"
 #include "src/support/thread_pool.h"
@@ -219,18 +220,13 @@ double TaskTuner::CommitRound(PlannedRound round, const std::vector<MeasureResul
       best_state_->RetainDag(task_.dag);
     }
     measured_best_.emplace_back(results[i].seconds, round.to_measure[i]);
-    if (options_.record_log != nullptr || options_.record_store != nullptr) {
-      TuningRecord record;
-      record.task_id = task_.task_id();
-      record.seconds = results[i].seconds;
-      record.throughput = results[i].throughput;
-      record.steps = round.to_measure[i].steps();
-      if (options_.record_log != nullptr) {
-        options_.record_log->Add(options_.record_store != nullptr ? record
-                                                                  : std::move(record));
-      }
-      if (options_.record_store != nullptr) {
-        options_.record_store->Add(std::move(record), options_.cache_client_id);
+    const std::pair<RecordStore*, uint64_t> sinks[] = {
+        {options_.record_log, 0}, {options_.record_store, options_.cache_client_id}};
+    for (const auto& [sink, client_id] : sinks) {
+      if (sink != nullptr) {
+        sink->Add({task_.task_id(), results[i].seconds, results[i].throughput,
+                   round.to_measure[i].steps()},
+                  client_id);
       }
     }
   }

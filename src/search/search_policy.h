@@ -18,8 +18,8 @@
 #include "src/evolution/evolution.h"
 #include "src/hwsim/measurer.h"
 #include "src/program/program_cache.h"
-#include "src/search/record_log.h"
 #include "src/sketch/sketch.h"
+#include "src/store/record_store.h"
 #include "src/telemetry/clock.h"
 #include "src/telemetry/trace.h"
 
@@ -68,15 +68,17 @@ struct SearchOptions {
   // Ablations (§7.1 Fig. 7): disable the evolutionary fine-tuning ("No
   // fine-tuning": random sampling only).
   bool enable_fine_tuning = true;
-  // When set, every valid measurement is appended here (resume / share /
-  // apply-without-search workflows). Not owned.
-  RecordLog* record_log = nullptr;
-  // Fleet-wide record sink (src/store/record_store.h): every valid
-  // measurement is also appended here, carrying its measured throughput and
-  // attributed to cache_client_id, under the store's dedup policy. A
-  // TuningService points every job's tuners at one store so the whole
-  // fleet's history accumulates deduplicated in one place (and feeds
-  // TrainFromStore). Not owned; may be shared across concurrent tuners.
+  // Record sinks. Every valid measurement, with its measured throughput, is
+  // appended to each sink that is set; neither is owned.
+  //  * record_log: the tuner's own history (resume / share /
+  //    apply-without-search workflows), usually a RecordLog
+  //    (src/search/record_log.h), appended anonymously.
+  //  * record_store: a fleet-wide store, attributed to cache_client_id under
+  //    the store's dedup policy. A TuningService points every job's tuners
+  //    at one store so the whole fleet's history accumulates deduplicated in
+  //    one place (and feeds TrainFromStore); it may be shared across
+  //    concurrent tuners.
+  RecordStore* record_log = nullptr;
   RecordStore* record_store = nullptr;
   // Pool for evolution and feature extraction; nullptr = ThreadPool::Global().
   // Results are invariant to the pool size (see the determinism tests).

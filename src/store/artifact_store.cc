@@ -1,8 +1,5 @@
 #include "src/store/artifact_store.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "src/dag/compute_dag.h"
 #include "src/ir/state.h"
 #include "src/program/program_cache.h"
@@ -229,23 +226,15 @@ ArtifactLoadStats ArtifactStore::Deserialize(const std::string& bytes) {
 }
 
 bool ArtifactStore::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return false;
-  }
-  std::string bytes = Serialize();
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return out.good();
+  return WriteFileBytes(path, Serialize());
 }
 
 ArtifactLoadStats ArtifactStore::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
+  std::string bytes;
+  if (!ReadFileBytes(path, &bytes)) {
     return ArtifactLoadStats();
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(buffer.str());
+  return Deserialize(bytes);
 }
 
 }  // namespace ansor

@@ -1,6 +1,8 @@
 #include "src/store/bytes.h"
 
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 namespace ansor {
 
@@ -167,6 +169,26 @@ uint64_t Fnv1a64(const char* data, size_t n) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+bool WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out.is_open()) {
+    return false;
+  }
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return out.good();
+}
+
+bool ReadFileBytes(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) {
+    return false;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  *out = buffer.str();
+  return true;
 }
 
 }  // namespace ansor

@@ -89,6 +89,13 @@ class ByteReader {
 // cryptographic; it only needs to catch truncation and bit rot.
 uint64_t Fnv1a64(const char* data, size_t n);
 
+// Whole-file I/O shared by every store artifact. WriteFileBytes truncates and
+// overwrites `path`; it returns false when the file cannot be opened or the
+// write fails. ReadFileBytes returns false (leaving `out` untouched) when the
+// file cannot be opened.
+bool WriteFileBytes(const std::string& path, const std::string& bytes);
+bool ReadFileBytes(const std::string& path, std::string* out);
+
 }  // namespace ansor
 
 #endif  // ANSOR_SRC_STORE_BYTES_H_

@@ -1,74 +1,21 @@
 #include "src/store/record_store.h"
 
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "src/store/serde.h"
-#include "src/support/logging.h"
-#include "src/support/util.h"
 
 namespace ansor {
 namespace {
 
-// Container framing: an 8-byte leading magic identifies the binary codec
-// (anything else is treated as the legacy text format), and a fixed 16-byte
-// tail (index offset + tail magic) locates the footer index.
+// Container framing: an 8-byte leading magic identifies the container
+// (anything else is rejected), and a fixed 16-byte tail (index offset + tail
+// magic) locates the footer index.
 constexpr char kRecordMagic[8] = {'A', 'N', 'S', 'R', 'R', 'E', 'C', '1'};
 constexpr char kIndexMagic[8] = {'A', 'N', 'S', 'R', 'I', 'D', 'X', '1'};
 constexpr size_t kMagicSize = sizeof(kRecordMagic);
 constexpr size_t kTailSize = 16;  // u64 index offset + 8-byte index magic
 constexpr uint8_t kFlagHasThroughput = 1;
 constexpr uint64_t kMaxReasonableCount = 1u << 28;
-
-const char* StepKindName(StepKind kind) {
-  switch (kind) {
-    case StepKind::kSplit: return "SP";
-    case StepKind::kFollowSplit: return "FSP";
-    case StepKind::kFuse: return "FU";
-    case StepKind::kReorder: return "RE";
-    case StepKind::kComputeAt: return "CA";
-    case StepKind::kComputeInline: return "CI";
-    case StepKind::kComputeRoot: return "CR";
-    case StepKind::kCacheWrite: return "CW";
-    case StepKind::kRfactor: return "RF";
-    case StepKind::kAnnotation: return "AN";
-    case StepKind::kPragma: return "PR";
-  }
-  return "??";
-}
-
-std::optional<StepKind> StepKindFromName(const std::string& name) {
-  if (name == "SP") return StepKind::kSplit;
-  if (name == "FSP") return StepKind::kFollowSplit;
-  if (name == "FU") return StepKind::kFuse;
-  if (name == "RE") return StepKind::kReorder;
-  if (name == "CA") return StepKind::kComputeAt;
-  if (name == "CI") return StepKind::kComputeInline;
-  if (name == "CR") return StepKind::kComputeRoot;
-  if (name == "CW") return StepKind::kCacheWrite;
-  if (name == "RF") return StepKind::kRfactor;
-  if (name == "AN") return StepKind::kAnnotation;
-  if (name == "PR") return StepKind::kPragma;
-  return std::nullopt;
-}
-
-std::vector<std::string> SplitString(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (char c : text) {
-    if (c == sep) {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  parts.push_back(current);
-  return parts;
-}
 
 bool HasBinaryMagic(const std::string& bytes) {
   return bytes.size() >= kMagicSize &&
@@ -103,8 +50,9 @@ std::string EncodeBinary(const std::vector<TuningRecord>& records) {
     record_task_refs[i] = task_it->second;
     record_step_refs[i].reserve(r.steps.size());
     for (const Step& step : r.steps) {
-      // Text form as the dedup key: unique per distinct step by construction.
-      auto [it, inserted] = step_refs.emplace(SerializeStep(step), num_steps);
+      // ToString covers exactly the fields EncodeStep writes, so equal keys
+      // mean byte-identical encodings.
+      auto [it, inserted] = step_refs.emplace(step.ToString(), num_steps);
       if (inserted) {
         EncodeStep(step, &strings, &step_table);
         ++num_steps;
@@ -283,198 +231,7 @@ RecordLoadStats DecodeBinary(const std::string& bytes,
   return stats;
 }
 
-RecordLoadStats DecodeText(const std::string& text,
-                           const std::function<void(TuningRecord)>& fn) {
-  RecordLoadStats stats;
-  stats.ok = true;
-  for (const std::string& line : SplitString(text, '\n')) {
-    if (line.empty()) {
-      continue;
-    }
-    auto record = ParseRecord(line);
-    if (!record.has_value()) {
-      ++stats.skipped;
-      continue;
-    }
-    ++stats.loaded;
-    fn(std::move(*record));
-  }
-  return stats;
-}
-
 }  // namespace
-
-// --- Text codec --------------------------------------------------------------
-
-std::string SerializeStep(const Step& step) {
-  // Fields are comma-separated; the stage name goes last so commas never
-  // collide with integer fields (stage names contain no commas by
-  // construction — they derive from tensor names).
-  std::ostringstream os;
-  os << StepKindName(step.kind);
-  switch (step.kind) {
-    case StepKind::kSplit:
-      os << "," << step.iter << "," << Join(step.lengths, ":");
-      break;
-    case StepKind::kFollowSplit:
-      os << "," << step.iter << "," << step.src_step << "," << step.n_parts;
-      break;
-    case StepKind::kFuse:
-      os << "," << step.iter << "," << step.fuse_count;
-      break;
-    case StepKind::kReorder:
-      os << "," << Join(step.order, ":");
-      break;
-    case StepKind::kComputeAt:
-      os << "," << step.target_iter << "," << step.target_stage;
-      break;
-    case StepKind::kComputeInline:
-    case StepKind::kComputeRoot:
-    case StepKind::kCacheWrite:
-      break;
-    case StepKind::kRfactor:
-      os << "," << step.iter;
-      break;
-    case StepKind::kAnnotation:
-      os << "," << step.iter << "," << static_cast<int>(step.annotation);
-      break;
-    case StepKind::kPragma:
-      os << "," << step.pragma_value;
-      break;
-  }
-  os << "@" << step.stage;
-  return os.str();
-}
-
-std::optional<Step> ParseStep(const std::string& text) {
-  size_t at = text.rfind('@');
-  if (at == std::string::npos) {
-    return std::nullopt;
-  }
-  std::string stage = text.substr(at + 1);
-  std::vector<std::string> fields = SplitString(text.substr(0, at), ',');
-  if (fields.empty()) {
-    return std::nullopt;
-  }
-  auto kind = StepKindFromName(fields[0]);
-  if (!kind.has_value()) {
-    return std::nullopt;
-  }
-  auto parse_ints = [](const std::string& s) {
-    std::vector<int64_t> values;
-    if (s.empty()) {
-      return values;
-    }
-    for (const std::string& part : SplitString(s, ':')) {
-      values.push_back(std::atoll(part.c_str()));
-    }
-    return values;
-  };
-  Step step;
-  step.kind = *kind;
-  step.stage = stage;
-  switch (*kind) {
-    case StepKind::kSplit: {
-      if (fields.size() != 3) return std::nullopt;
-      step.iter = std::atoi(fields[1].c_str());
-      step.lengths = parse_ints(fields[2]);
-      break;
-    }
-    case StepKind::kFollowSplit:
-      if (fields.size() != 4) return std::nullopt;
-      step.iter = std::atoi(fields[1].c_str());
-      step.src_step = std::atoi(fields[2].c_str());
-      step.n_parts = std::atoi(fields[3].c_str());
-      break;
-    case StepKind::kFuse:
-      if (fields.size() != 3) return std::nullopt;
-      step.iter = std::atoi(fields[1].c_str());
-      step.fuse_count = std::atoi(fields[2].c_str());
-      break;
-    case StepKind::kReorder: {
-      if (fields.size() != 2) return std::nullopt;
-      for (int64_t v : parse_ints(fields[1])) {
-        step.order.push_back(static_cast<int>(v));
-      }
-      break;
-    }
-    case StepKind::kComputeAt:
-      if (fields.size() != 3) return std::nullopt;
-      step.target_iter = std::atoi(fields[1].c_str());
-      step.target_stage = fields[2];
-      break;
-    case StepKind::kComputeInline:
-    case StepKind::kComputeRoot:
-    case StepKind::kCacheWrite:
-      if (fields.size() != 1) return std::nullopt;
-      break;
-    case StepKind::kRfactor:
-      if (fields.size() != 2) return std::nullopt;
-      step.iter = std::atoi(fields[1].c_str());
-      break;
-    case StepKind::kAnnotation:
-      if (fields.size() != 3) return std::nullopt;
-      step.iter = std::atoi(fields[1].c_str());
-      step.annotation = static_cast<IterAnnotation>(std::atoi(fields[2].c_str()));
-      break;
-    case StepKind::kPragma:
-      if (fields.size() != 2) return std::nullopt;
-      step.pragma_value = std::atoi(fields[1].c_str());
-      break;
-  }
-  return step;
-}
-
-std::string SerializeRecord(const TuningRecord& record) {
-  std::ostringstream os;
-  char task_hex[32];
-  std::snprintf(task_hex, sizeof(task_hex), "%016" PRIx64, record.task_id);
-  os << "task=" << task_hex << "|seconds=" << FormatDouble(record.seconds * 1e9, 6)
-     << "e-9|steps=";
-  for (size_t i = 0; i < record.steps.size(); ++i) {
-    if (i > 0) {
-      os << ";";
-    }
-    os << SerializeStep(record.steps[i]);
-  }
-  return os.str();
-}
-
-std::optional<TuningRecord> ParseRecord(const std::string& line) {
-  std::vector<std::string> sections = SplitString(line, '|');
-  if (sections.size() != 3) {
-    return std::nullopt;
-  }
-  auto value_of = [&](const std::string& section,
-                      const std::string& key) -> std::optional<std::string> {
-    if (section.rfind(key + "=", 0) != 0) {
-      return std::nullopt;
-    }
-    return section.substr(key.size() + 1);
-  };
-  auto task = value_of(sections[0], "task");
-  auto seconds = value_of(sections[1], "seconds");
-  auto steps = value_of(sections[2], "steps");
-  if (!task.has_value() || !seconds.has_value() || !steps.has_value()) {
-    return std::nullopt;
-  }
-  TuningRecord record;
-  record.task_id = std::strtoull(task->c_str(), nullptr, 16);
-  record.seconds = std::atof(seconds->c_str());
-  if (!std::isfinite(record.seconds)) {
-    return std::nullopt;
-  }
-  if (!steps->empty()) {
-    for (const std::string& part : SplitString(*steps, ';')) {
-      auto step = ParseStep(part);
-      if (!step.has_value()) {
-        return std::nullopt;
-      }
-      record.steps.push_back(std::move(*step));
-    }
-  }
-  return record;
-}
 
 // --- RecordStore -------------------------------------------------------------
 
@@ -579,17 +336,7 @@ void RecordStore::ExportMetrics(MetricsRegistry* registry, const std::string& pr
   registry->SetGauge(prefix + ".size", static_cast<double>(size()));
 }
 
-std::string RecordStore::Serialize(RecordCodec codec) const {
-  std::vector<TuningRecord> snapshot = Snapshot();
-  if (codec == RecordCodec::kBinary) {
-    return EncodeBinary(snapshot);
-  }
-  std::ostringstream os;
-  for (const TuningRecord& r : snapshot) {
-    os << SerializeRecord(r) << "\n";
-  }
-  return os.str();
-}
+std::string RecordStore::Serialize() const { return EncodeBinary(Snapshot()); }
 
 RecordLoadStats RecordStore::Deserialize(const std::string& bytes) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -597,56 +344,24 @@ RecordLoadStats RecordStore::Deserialize(const std::string& bytes) {
                        [this](TuningRecord record) { AddLocked(std::move(record), 0); });
 }
 
-bool RecordStore::SaveToFile(const std::string& path, RecordCodec codec) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out.good()) {
-    return false;
-  }
-  std::string bytes = Serialize(codec);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return out.good();
+bool RecordStore::SaveToFile(const std::string& path) const {
+  return WriteFileBytes(path, Serialize());
 }
 
 RecordLoadStats RecordStore::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
+  std::string bytes;
+  if (!ReadFileBytes(path, &bytes)) {
     return RecordLoadStats();
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(buffer.str());
+  return Deserialize(bytes);
 }
 
 RecordLoadStats RecordStore::ForEachRecord(const std::string& bytes,
                                            const std::function<void(TuningRecord)>& fn) {
-  if (HasBinaryMagic(bytes)) {
-    return DecodeBinary(bytes, fn);
-  }
-  return DecodeText(bytes, fn);
-}
-
-RecordLoadStats RecordStore::StreamFile(const std::string& path,
-                                        const std::function<void(TuningRecord)>& fn) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
+  if (!HasBinaryMagic(bytes)) {
     return RecordLoadStats();
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return ForEachRecord(buffer.str(), fn);
-}
-
-RecordLoadStats RecordStore::MigrateTextToBinary(const std::string& text_path,
-                                                 const std::string& binary_path) {
-  RecordStore store(Options{/*dedup=*/false});
-  RecordLoadStats stats = store.LoadFromFile(text_path);
-  if (!stats.ok) {
-    return stats;
-  }
-  if (!store.SaveToFile(binary_path, RecordCodec::kBinary)) {
-    stats.ok = false;
-  }
-  return stats;
+  return DecodeBinary(bytes, fn);
 }
 
 }  // namespace ansor

@@ -3,20 +3,15 @@
 //
 // A TuningRecord is one (task, measured seconds, step list) triple — plus
 // the measured throughput when known, which the transfer-learned cost model
-// trains from (TrainFromStore). Two codecs serialize the same store:
-//
-//  * Binary (default): a compact container built for logs with millions of
-//    records. Stage names, distinct steps, and task ids are interned into
-//    file-level tables, so each record's step list is a handful of 1-2 byte
-//    varint references instead of repeated text; records are
-//    length-prefixed for resynchronization, and a footer index (record
-//    offsets + FNV-1a payload checksum) makes loads verifiable and
-//    streamable. A corrupted index degrades to a sequential scan; corrupted
-//    records are skipped and counted, never crash.
-//  * Text: the legacy one-record-per-line format of `RecordLog`
-//    (task=<hex>|seconds=<float>|steps=...), kept as a compatibility codec.
-//    Loading auto-detects the codec, so `RecordStore::LoadFromFile` on an
-//    old text log is the text→binary migration path.
+// trains from (TrainFromStore). Records persist in one binary container,
+// built for logs with millions of records. Stage names, distinct steps, and
+// task ids are interned into file-level tables, so each record's step list
+// is a handful of 1-2 byte varint references instead of repeated text;
+// records are length-prefixed for resynchronization, and a footer index
+// (record offsets + FNV-1a payload checksum) makes loads verifiable and
+// streamable. A corrupted index degrades to a sequential scan; corrupted
+// records are skipped and counted, never crash. A payload without the
+// container's leading magic is rejected whole.
 //
 // The store is thread-safe for Add/BestFor/stats and deduplicates by exact
 // step signature per task (StepSignature), with exact counters: a fleet of
@@ -43,38 +38,21 @@ struct TuningRecord {
   uint64_t task_id = 0;
   double seconds = 0.0;
   // FLOPS achieved, when the record came from a live measurement; 0 when
-  // unknown (e.g. loaded from a legacy text log, which does not carry it).
+  // unknown.
   double throughput = 0.0;
   std::vector<Step> steps;
 };
 
-// --- Text codec (the legacy RecordLog format) --------------------------------
-
-// Compact, lossless textual encoding of one step.
-std::string SerializeStep(const Step& step);
-// Parses a serialized step; returns nullopt on malformed input.
-std::optional<Step> ParseStep(const std::string& text);
-
-std::string SerializeRecord(const TuningRecord& record);
-std::optional<TuningRecord> ParseRecord(const std::string& line);
-
-// --- RecordStore -------------------------------------------------------------
-
-enum class RecordCodec {
-  kBinary,  // interned-table container with footer index (default)
-  kText,    // legacy one-record-per-line format (drops throughput)
-};
-
 // Result of loading serialized records. `ok` means the container itself was
 // recognized and readable (a missing file or unrecognizable payload is not);
-// `skipped` counts individually malformed records/lines that were dropped.
+// `skipped` counts individually malformed records that were dropped.
 struct RecordLoadStats {
   bool ok = false;
   size_t loaded = 0;
   size_t skipped = 0;
-  // Binary only: the footer index was present and its checksum matched. A
-  // false value with ok == true means the loader fell back to a sequential
-  // scan (corrupted or truncated index).
+  // The footer index was present and its checksum matched. A false value
+  // with ok == true means the loader fell back to a sequential scan
+  // (corrupted or truncated index).
   bool index_ok = false;
 
   explicit operator bool() const { return ok; }
@@ -100,9 +78,8 @@ class RecordStore {
  public:
   struct Options {
     // Signature-level dedup. Off turns the store into a plain append log
-    // (what the RecordLog compatibility wrapper uses: a tuner's own log
-    // legitimately re-measures nothing, and lossless round-trips must keep
-    // duplicates).
+    // (what RecordLog is: a tuner's own log legitimately re-measures
+    // nothing, and lossless round-trips must keep duplicates).
     bool dedup = true;
   };
 
@@ -141,27 +118,18 @@ class RecordStore {
 
   // --- Persistence -----------------------------------------------------------
 
-  std::string Serialize(RecordCodec codec = RecordCodec::kBinary) const;
-  // Parses `bytes` (codec auto-detected by the binary magic) and Adds every
-  // well-formed record under this store's dedup policy.
+  std::string Serialize() const;
+  // Parses `bytes` and Adds every well-formed record under this store's
+  // dedup policy.
   RecordLoadStats Deserialize(const std::string& bytes);
-  bool SaveToFile(const std::string& path,
-                  RecordCodec codec = RecordCodec::kBinary) const;
+  bool SaveToFile(const std::string& path) const;
   RecordLoadStats LoadFromFile(const std::string& path);
 
-  // Streaming decode (codec auto-detected): invokes `fn` per well-formed
-  // record without materializing a store. The store-independent core that
-  // Deserialize is built on.
+  // Streaming decode: invokes `fn` per well-formed record without
+  // materializing a store. The store-independent core that Deserialize is
+  // built on.
   static RecordLoadStats ForEachRecord(const std::string& bytes,
                                        const std::function<void(TuningRecord)>& fn);
-  static RecordLoadStats StreamFile(const std::string& path,
-                                    const std::function<void(TuningRecord)>& fn);
-
-  // One-shot lossless migration: reads a legacy text log and writes the
-  // binary container (no dedup — a pure format conversion). Returns the text
-  // load stats; ok is false when the output could not be written.
-  static RecordLoadStats MigrateTextToBinary(const std::string& text_path,
-                                             const std::string& binary_path);
 
  private:
   bool AddLocked(TuningRecord record, uint64_t client_id);

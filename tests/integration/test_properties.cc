@@ -10,6 +10,9 @@
 //   operator of the workload suite; invalid candidates fail gracefully.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
+
 #include "src/evolution/evolution.h"
 #include "src/exec/interpreter.h"
 #include "src/hwsim/measurer.h"
@@ -65,15 +68,51 @@ INSTANTIATE_TEST_SUITE_P(
 // operator class of the paper's suite (small instances so interpretation is
 // cheap), and the measured best is semantics-preserving.
 
-struct OperatorCase {
-  std::string name;
-  std::function<ComputeDAG()> make;
+struct OperatorEntry {
+  const char* name;
+  ComputeDAG (*make)();
 };
+
+const OperatorEntry kOperators[] = {
+    {"c1d", [] { return MakeConv1d(1, 4, 16, 4, 3, 1, 1); }},
+    {"c2d", [] { return MakeConv2d(1, 4, 8, 8, 4, 3, 3, 1, 1); }},
+    {"c2d_stride", [] { return MakeConv2d(1, 4, 8, 8, 8, 3, 3, 2, 1); }},
+    {"c3d", [] { return MakeConv3d(1, 2, 4, 6, 6, 2, 3, 3, 3, 1, 1); }},
+    {"grp", [] { return MakeConv2d(1, 4, 6, 6, 4, 3, 3, 1, 1, 1, 2); }},
+    {"dil", [] { return MakeConv2d(1, 2, 8, 8, 2, 3, 3, 1, 2, 2); }},
+    {"dep", [] { return MakeDepthwiseConv2d(1, 4, 8, 8, 3, 3, 1, 1); }},
+    {"t2d", [] { return MakeTransposedConv2d(1, 2, 4, 4, 2, 4, 4, 2, 1); }},
+    {"cap", [] { return MakeCapsuleConv2d(1, 2, 4, 4, 2, 3, 3, 1, 1, 2); }},
+    {"gmm", [] { return MakeMatmul(8, 8, 16); }},
+    {"bmm", [] { return MakeMatmul(4, 4, 8, 2); }},
+    {"nrm", [] { return MakeNorm(2, 64); }},
+    {"convlayer", [] { return MakeConvLayer(1, 2, 6, 6, 2, 3, 3, 1, 1); }},
+    {"tbg", [] { return MakeTBG(1, 4, 2, 4); }},
+    {"dense", [] { return MakeDense(4, 8, 4); }},
+};
+
+// The test parameter is 64 plain bytes with no padding and no pointers (see
+// ShapeCase): `op` indexes kOperators instead of holding its maker function.
+struct OperatorCase {
+  char name[56];
+  int64_t op;
+};
+
+std::vector<OperatorCase> OperatorCases() {
+  std::vector<OperatorCase> cases;
+  for (size_t i = 0; i < std::size(kOperators); ++i) {
+    OperatorCase c{};
+    std::snprintf(c.name, sizeof(c.name), "%s", kOperators[i].name);
+    c.op = static_cast<int64_t>(i);
+    cases.push_back(c);
+  }
+  return cases;
+}
 
 class OperatorPipelineProperty : public ::testing::TestWithParam<OperatorCase> {};
 
 TEST_P(OperatorPipelineProperty, SketchSampleMeasureVerify) {
-  ComputeDAG dag = GetParam().make();
+  ComputeDAG dag = kOperators[GetParam().op].make();
   auto sketches = GenerateSketches(&dag);
   ASSERT_FALSE(sketches.empty()) << GetParam().name;
 
@@ -102,23 +141,7 @@ TEST_P(OperatorPipelineProperty, SketchSampleMeasureVerify) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    OperatorSuite, OperatorPipelineProperty,
-    ::testing::Values(
-        OperatorCase{"c1d", [] { return MakeConv1d(1, 4, 16, 4, 3, 1, 1); }},
-        OperatorCase{"c2d", [] { return MakeConv2d(1, 4, 8, 8, 4, 3, 3, 1, 1); }},
-        OperatorCase{"c2d_stride", [] { return MakeConv2d(1, 4, 8, 8, 8, 3, 3, 2, 1); }},
-        OperatorCase{"c3d", [] { return MakeConv3d(1, 2, 4, 6, 6, 2, 3, 3, 3, 1, 1); }},
-        OperatorCase{"grp", [] { return MakeConv2d(1, 4, 6, 6, 4, 3, 3, 1, 1, 1, 2); }},
-        OperatorCase{"dil", [] { return MakeConv2d(1, 2, 8, 8, 2, 3, 3, 1, 2, 2); }},
-        OperatorCase{"dep", [] { return MakeDepthwiseConv2d(1, 4, 8, 8, 3, 3, 1, 1); }},
-        OperatorCase{"t2d", [] { return MakeTransposedConv2d(1, 2, 4, 4, 2, 4, 4, 2, 1); }},
-        OperatorCase{"cap", [] { return MakeCapsuleConv2d(1, 2, 4, 4, 2, 3, 3, 1, 1, 2); }},
-        OperatorCase{"gmm", [] { return MakeMatmul(8, 8, 16); }},
-        OperatorCase{"bmm", [] { return MakeMatmul(4, 4, 8, 2); }},
-        OperatorCase{"nrm", [] { return MakeNorm(2, 64); }},
-        OperatorCase{"convlayer", [] { return MakeConvLayer(1, 2, 6, 6, 2, 3, 3, 1, 1); }},
-        OperatorCase{"tbg", [] { return MakeTBG(1, 4, 2, 4); }},
-        OperatorCase{"dense", [] { return MakeDense(4, 8, 4); }}),
+    OperatorSuite, OperatorPipelineProperty, ::testing::ValuesIn(OperatorCases()),
     [](const ::testing::TestParamInfo<OperatorCase>& info) { return info.param.name; });
 
 // ---------------------------------------------------------------------------

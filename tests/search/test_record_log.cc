@@ -1,85 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 
 #include "src/exec/interpreter.h"
 #include "src/sampler/annotation.h"
 #include "src/search/record_log.h"
 #include "src/search/search_policy.h"
 #include "src/sketch/sketch.h"
+#include "src/store/bytes.h"
 #include "tests/testing.h"
 
 namespace ansor {
 namespace {
-
-TEST(StepSerialization, RoundTripsEveryKind) {
-  std::vector<Step> steps = {
-      MakeSplitStep("C", 2, {4, 8, 2}),
-      MakeFollowSplitStep("D", 0, 3, 2),
-      MakeFuseStep("C", 1, 3),
-      MakeReorderStep("C", {3, 1, 0, 2}),
-      MakeComputeAtStep("C.cache", "C", 5),
-      MakeComputeInlineStep("B"),
-      MakeComputeRootStep("B"),
-      MakeCacheWriteStep("C"),
-      MakeRfactorStep("S", 2),
-      MakeAnnotationStep("C", 4, IterAnnotation::kVectorize),
-      MakePragmaStep("C", 512),
-  };
-  for (const Step& step : steps) {
-    std::string text = SerializeStep(step);
-    auto parsed = ParseStep(text);
-    ASSERT_TRUE(parsed.has_value()) << text;
-    EXPECT_EQ(SerializeStep(*parsed), text);
-    EXPECT_EQ(parsed->kind, step.kind);
-    EXPECT_EQ(parsed->stage, step.stage);
-    EXPECT_EQ(parsed->iter, step.iter);
-    EXPECT_EQ(parsed->lengths, step.lengths);
-    EXPECT_EQ(parsed->order, step.order);
-    EXPECT_EQ(parsed->target_stage, step.target_stage);
-    EXPECT_EQ(parsed->target_iter, step.target_iter);
-    EXPECT_EQ(parsed->annotation, step.annotation);
-    EXPECT_EQ(parsed->pragma_value, step.pragma_value);
-  }
-}
-
-TEST(StepSerialization, StageNamesWithDots) {
-  Step step = MakeComputeAtStep("conv2d.cache", "relu", 7);
-  auto parsed = ParseStep(SerializeStep(step));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->stage, "conv2d.cache");
-  EXPECT_EQ(parsed->target_stage, "relu");
-}
-
-TEST(StepSerialization, MalformedInputsRejected) {
-  EXPECT_FALSE(ParseStep("").has_value());
-  EXPECT_FALSE(ParseStep("nonsense").has_value());
-  EXPECT_FALSE(ParseStep("XX,1,2@C").has_value());
-  EXPECT_FALSE(ParseStep("SP@C").has_value());  // missing fields
-}
-
-TEST(RecordSerialization, RoundTrip) {
-  TuningRecord record;
-  record.task_id = 0xdeadbeef12345678ULL;
-  record.seconds = 1.25e-4;
-  record.steps = {MakeSplitStep("C", 0, {8}), MakeAnnotationStep("C", 0,
-                                                                 IterAnnotation::kParallel)};
-  std::string line = SerializeRecord(record);
-  auto parsed = ParseRecord(line);
-  ASSERT_TRUE(parsed.has_value()) << line;
-  EXPECT_EQ(parsed->task_id, record.task_id);
-  EXPECT_NEAR(parsed->seconds, record.seconds, record.seconds * 1e-5);
-  ASSERT_EQ(parsed->steps.size(), 2u);
-}
-
-TEST(RecordSerialization, MalformedLinesRejected) {
-  EXPECT_FALSE(ParseRecord("").has_value());
-  EXPECT_FALSE(ParseRecord("task=12").has_value());
-  EXPECT_FALSE(ParseRecord("task=12|seconds=abc|steps=").has_value() &&
-               std::isfinite(ParseRecord("task=12|seconds=abc|steps=")->seconds) == false);
-  EXPECT_FALSE(ParseRecord("a=1|b=2|c=3").has_value());
-}
 
 TEST(RecordLogTest, BestForPicksLowestLatency) {
   RecordLog log;
@@ -97,27 +29,43 @@ TEST(RecordLogTest, SerializeDeserializeAll) {
   log.Add({7, 1e-3, 0.0, {MakeSplitStep("C", 0, {4})}});
   log.Add({8, 2e-3, 0.0, {MakeCacheWriteStep("C")}});
   RecordLog copy;
-  EXPECT_EQ(copy.Deserialize(log.Serialize()), 2u);
-  EXPECT_EQ(copy.records().size(), 2u);
+  RecordLoadStats stats = copy.Deserialize(log.Serialize());
+  EXPECT_TRUE(stats.index_ok);
+  EXPECT_EQ(stats.loaded, 2u);
+  ASSERT_EQ(copy.records().size(), 2u);
   EXPECT_EQ(copy.records()[0].task_id, 7u);
+  EXPECT_EQ(copy.records()[1].steps[0].kind, StepKind::kCacheWrite);
 }
 
 TEST(RecordLogTest, LoadFromFileReportsLoadedAndSkipped) {
-  // Two good lines, two malformed: the load must surface exactly what it
-  // kept and what it dropped instead of silently shrinking the log.
-  std::string path = ::testing::TempDir() + "/ansor_records_mixed.log";
+  // Four records, file cut where the third one starts: the load must surface
+  // exactly what it kept and what it dropped instead of silently shrinking
+  // the log.
+  std::string path = ::testing::TempDir() + "/ansor_records_truncated.bin";
   {
     RecordLog good;
     good.Add({1, 1e-3, 0.0, {MakeSplitStep("C", 0, {4})}});
     good.Add({2, 2e-3, 0.0, {MakeCacheWriteStep("C")}});
-    ASSERT_TRUE(good.SaveToFile(path));
-    std::ofstream append(path, std::ios::app);
-    append << "task=12|seconds=1e-3|steps=XX,0,4@C\n";  // unknown step kind
-    append << "total garbage line\n";
+    good.Add({3, 3e-3, 0.0, {MakeSplitStep("C", 0, {8})}});
+    good.Add({4, 4e-3, 0.0, {MakeComputeInlineStep("B")}});
+    std::string bytes = good.Serialize();
+    // The footer index (u64 index offset + 8-byte magic at the tail) lists
+    // each record's offset as delta varints after the record count.
+    ByteReader tail(bytes.data() + bytes.size() - 16, 8);
+    uint64_t index_offset = tail.GetU64();
+    ByteReader index(bytes.data() + index_offset, bytes.size() - index_offset);
+    ASSERT_EQ(index.GetVarint(), 4u);
+    uint64_t third = 0;
+    for (int i = 0; i < 3; ++i) {
+      third += index.GetVarint();
+    }
+    ASSERT_TRUE(index.ok());
+    ASSERT_TRUE(WriteFileBytes(path, bytes.substr(0, third)));
   }
   RecordLog loaded;
   RecordLoadStats stats = loaded.LoadFromFile(path);
   EXPECT_TRUE(stats);
+  EXPECT_FALSE(stats.index_ok);
   EXPECT_EQ(stats.loaded, 2u);
   EXPECT_EQ(stats.skipped, 2u);
   EXPECT_EQ(loaded.records().size(), 2u);
@@ -129,8 +77,8 @@ TEST(RecordLogTest, LoadFromFileReportsLoadedAndSkipped) {
 }
 
 TEST(RecordLogTest, ReadsBinaryStores) {
-  // The wrapper auto-detects the fleet store's binary codec: old call sites
-  // can load new files, so the migration path runs in both directions.
+  // A log reads files written by a deduplicating fleet store: both are the
+  // same RecordStore container.
   RecordStore store;
   TuningRecord r;
   r.task_id = 9;
@@ -139,7 +87,7 @@ TEST(RecordLogTest, ReadsBinaryStores) {
   r.steps = {MakeSplitStep("C", 0, {2})};
   store.Add(std::move(r));
   std::string path = ::testing::TempDir() + "/ansor_records_binary.bin";
-  ASSERT_TRUE(store.SaveToFile(path, RecordCodec::kBinary));
+  ASSERT_TRUE(store.SaveToFile(path));
 
   RecordLog log;
   RecordLoadStats stats = log.LoadFromFile(path);
@@ -153,13 +101,16 @@ TEST(RecordLogTest, ReadsBinaryStores) {
 
 TEST(RecordLogTest, FileRoundTrip) {
   RecordLog log;
-  log.Add({42, 3e-3, 0.0, {MakeSplitStep("C", 1, {2, 2})}});
-  std::string path = ::testing::TempDir() + "/ansor_records_test.log";
+  log.Add({42, 3e-3, 1.5e9, {MakeSplitStep("C", 1, {2, 2})}});
+  std::string path = ::testing::TempDir() + "/ansor_records_test.bin";
   ASSERT_TRUE(log.SaveToFile(path));
   RecordLog loaded;
   ASSERT_TRUE(loaded.LoadFromFile(path));
   ASSERT_EQ(loaded.records().size(), 1u);
   EXPECT_EQ(loaded.records()[0].task_id, 42u);
+  EXPECT_EQ(loaded.records()[0].seconds, 3e-3);
+  EXPECT_EQ(loaded.records()[0].throughput, 1.5e9);
+  EXPECT_EQ(StepSignature(loaded.records()[0].steps), StepSignature(log.records()[0].steps));
   std::remove(path.c_str());
 }
 
@@ -195,8 +146,8 @@ TEST(RecordLogTest, ReplayBestFailsForUnknownTask) {
 }
 
 TEST(RecordLogTest, SampledProgramsRoundTripThroughSerialization) {
-  // Property: any sampled program's step list survives serialize -> parse ->
-  // replay with identical structure.
+  // Property: any sampled program's step list survives serialize ->
+  // deserialize -> replay with identical structure.
   ComputeDAG dag = testing::MatmulRelu(16, 16, 16);
   auto sketches = GenerateSketches(&dag);
   Rng rng(31);
@@ -206,12 +157,11 @@ TEST(RecordLogTest, SampledProgramsRoundTripThroughSerialization) {
     if (program.failed()) {
       continue;
     }
-    std::vector<Step> round_tripped;
-    for (const Step& step : program.steps()) {
-      auto parsed = ParseStep(SerializeStep(step));
-      ASSERT_TRUE(parsed.has_value()) << SerializeStep(step);
-      round_tripped.push_back(std::move(*parsed));
-    }
+    RecordLog log;
+    log.Add({1, 1e-3, 0.0, program.steps()});
+    RecordLog loaded;
+    ASSERT_EQ(loaded.Deserialize(log.Serialize()).loaded, 1u);
+    const std::vector<Step>& round_tripped = loaded.records()[0].steps;
     State replayed = State::Replay(&dag, round_tripped);
     ASSERT_FALSE(replayed.failed());
     ASSERT_EQ(replayed.stages().size(), program.stages().size());

@@ -267,7 +267,7 @@ TEST(TuningService, FleetRecordStoreAttributionIsExact) {
   EXPECT_EQ(store.size(), static_cast<size_t>(totals.appended));
 
   // Live measurements carry throughput into the store (the transfer-learning
-  // training signal a text log would have dropped).
+  // training signal TrainFromStore reads).
   for (const TuningRecord& record : store.Snapshot()) {
     EXPECT_GT(record.throughput, 0.0);
   }

@@ -1,10 +1,12 @@
-// RecordStore: binary container round trips, text migration, signature
-// dedup, corruption recovery, and concurrent fleet appends.
+// RecordStore: binary container round trips, pinned container bytes,
+// signature dedup, corruption recovery, and concurrent fleet appends.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <thread>
 
+#include "src/store/bytes.h"
 #include "src/store/record_store.h"
 #include "tests/testing.h"
 
@@ -12,7 +14,7 @@ namespace ansor {
 namespace {
 
 // One record exercising every step kind (and both annotation paths), so a
-// codec bug in any field shows up as a SerializeRecord mismatch.
+// codec bug in any field shows up as a Fingerprints mismatch.
 std::vector<TuningRecord> AllKindsRecords() {
   std::vector<TuningRecord> records;
   TuningRecord a;
@@ -49,10 +51,19 @@ std::vector<TuningRecord> AllKindsRecords() {
   return records;
 }
 
-std::vector<std::string> Lines(const std::vector<TuningRecord>& records) {
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Bit-exact identity of each record: task id, the IEEE bits of seconds and
+// throughput, and the step signature.
+std::vector<std::string> Fingerprints(const std::vector<TuningRecord>& records) {
   std::vector<std::string> out;
   for (const TuningRecord& r : records) {
-    out.push_back(SerializeRecord(r));
+    out.push_back(std::to_string(r.task_id) + '|' + std::to_string(Bits(r.seconds)) + '|' +
+                  std::to_string(Bits(r.throughput)) + '|' + StepSignature(r.steps));
   }
   return out;
 }
@@ -62,7 +73,7 @@ TEST(RecordStoreBinary, RoundTripAllStepKindsBitExact) {
   for (TuningRecord r : AllKindsRecords()) {
     store.Add(std::move(r));
   }
-  std::string bytes = store.Serialize(RecordCodec::kBinary);
+  std::string bytes = store.Serialize();
 
   RecordStore loaded(RecordStore::Options{/*dedup=*/false});
   RecordLoadStats stats = loaded.Deserialize(bytes);
@@ -71,21 +82,21 @@ TEST(RecordStoreBinary, RoundTripAllStepKindsBitExact) {
   EXPECT_EQ(stats.loaded, 3u);
   EXPECT_EQ(stats.skipped, 0u);
   ASSERT_EQ(loaded.size(), 3u);
-  EXPECT_EQ(Lines(loaded.records()), Lines(store.records()));
-  // Throughput is binary-only payload: verify it survives exactly.
+  EXPECT_EQ(Fingerprints(loaded.records()), Fingerprints(store.records()));
+  // Throughput is stored only when present: both flag paths survive.
   EXPECT_DOUBLE_EQ(loaded.records()[0].throughput, 2.75e9);
   EXPECT_DOUBLE_EQ(loaded.records()[1].throughput, 0.0);
 }
 
-TEST(RecordStoreBinary, BinarySmallerThanText) {
-  // Replicate a realistic shape: records with real-search-sized step lists
-  // (~18 steps) drawn from a shared sketch vocabulary, so step interning
-  // pays off the way it does on actual tuning logs.
+// 200 records with search-sized step lists (18 steps) drawn from a shared
+// sketch vocabulary, so step interning pays off the way it does on real
+// tuning logs.
+std::vector<TuningRecord> VocabularyRecords() {
   std::vector<Step> vocabulary;
   for (const TuningRecord& r : AllKindsRecords()) {
     vocabulary.insert(vocabulary.end(), r.steps.begin(), r.steps.end());
   }
-  RecordStore store(RecordStore::Options{/*dedup=*/false});
+  std::vector<TuningRecord> records;
   for (int i = 0; i < 200; ++i) {
     TuningRecord r;
     r.task_id = static_cast<uint64_t>(i % 4);
@@ -94,33 +105,53 @@ TEST(RecordStoreBinary, BinarySmallerThanText) {
     for (int s = 0; s < 18; ++s) {
       r.steps.push_back(vocabulary[static_cast<size_t>(i + s) % vocabulary.size()]);
     }
-    store.Add(std::move(r));
+    records.push_back(std::move(r));
   }
-  std::string text = store.Serialize(RecordCodec::kText);
-  std::string binary = store.Serialize(RecordCodec::kBinary);
-  EXPECT_LT(binary.size() * 5, text.size())
-      << "binary=" << binary.size() << " text=" << text.size();
+  return records;
 }
 
-TEST(RecordStoreText, MigrationIsLossless) {
+std::string SerializeAll(const std::vector<TuningRecord>& records) {
   RecordStore store(RecordStore::Options{/*dedup=*/false});
-  for (TuningRecord r : AllKindsRecords()) {
-    r.throughput = 0.0;  // text drops throughput; compare what text carries
-    store.Add(std::move(r));
+  for (const TuningRecord& r : records) {
+    store.Add(r);
   }
-  std::string text_path = ::testing::TempDir() + "/ansor_migrate_in.log";
-  std::string bin_path = ::testing::TempDir() + "/ansor_migrate_out.bin";
-  ASSERT_TRUE(store.SaveToFile(text_path, RecordCodec::kText));
+  return store.Serialize();
+}
 
-  RecordLoadStats migrated = RecordStore::MigrateTextToBinary(text_path, bin_path);
-  EXPECT_TRUE(migrated);
-  EXPECT_EQ(migrated.loaded, 3u);
+TEST(RecordStoreBinary, SerializedBytesGolden) {
+  // Pins the on-disk container byte for byte: an encoder change that moves
+  // any byte (table order, step interning, framing) must be a deliberate
+  // format change, not a side effect.
+  std::string all_kinds = SerializeAll(AllKindsRecords());
+  EXPECT_EQ(all_kinds.size(), 183u);
+  EXPECT_EQ(Fnv1a64(all_kinds.data(), all_kinds.size()), 0xee37ded4a101b7a7ULL);
+  std::string vocab = SerializeAll(VocabularyRecords());
+  EXPECT_EQ(vocab.size(), 7933u);
+  EXPECT_EQ(Fnv1a64(vocab.data(), vocab.size()), 0x874c5dc94e66f8f5ULL);
+}
 
-  RecordStore loaded(RecordStore::Options{/*dedup=*/false});
-  EXPECT_TRUE(loaded.LoadFromFile(bin_path));
-  EXPECT_EQ(Lines(loaded.records()), Lines(store.records()));
-  std::remove(text_path.c_str());
-  std::remove(bin_path.c_str());
+TEST(RecordStoreBinary, LegacyTextRejected) {
+  // A one-line-per-record text log, and any payload without the container
+  // magic, loads nothing.
+  std::string path = ::testing::TempDir() + "/ansor_legacy_text.log";
+  ASSERT_TRUE(WriteFileBytes(path,
+                             "task=0000000000000007|seconds=1000000e-9|steps=SP,0,4@C;CW@C\n"
+                             "task=0000000000000008|seconds=2000000e-9|steps=CI@B\n"));
+  RecordStore from_file;
+  RecordLoadStats file_stats = from_file.LoadFromFile(path);
+  EXPECT_FALSE(file_stats.ok);
+  EXPECT_EQ(file_stats.loaded, 0u);
+  EXPECT_EQ(from_file.size(), 0u);
+  std::remove(path.c_str());
+
+  std::string magicless = SerializeAll(AllKindsRecords());
+  magicless[0] = 'X';
+  RecordStore from_bytes;
+  RecordLoadStats byte_stats = from_bytes.Deserialize(magicless);
+  EXPECT_FALSE(byte_stats.ok);
+  EXPECT_EQ(byte_stats.loaded, 0u);
+  EXPECT_EQ(from_bytes.size(), 0u);
+  EXPECT_FALSE(RecordStore::ForEachRecord("", [](TuningRecord) { FAIL(); }).ok);
 }
 
 TEST(RecordStoreDedup, ExactCountersAndInPlaceImprovement) {
@@ -178,7 +209,7 @@ TEST(RecordStoreBinary, CorruptedIndexFallsBackToSequentialScan) {
   for (TuningRecord r : AllKindsRecords()) {
     store.Add(std::move(r));
   }
-  std::string bytes = store.Serialize(RecordCodec::kBinary);
+  std::string bytes = store.Serialize();
   bytes.back() ^= 0x5a;  // smash the index magic: footer unusable
 
   RecordStore loaded(RecordStore::Options{/*dedup=*/false});
@@ -186,7 +217,7 @@ TEST(RecordStoreBinary, CorruptedIndexFallsBackToSequentialScan) {
   EXPECT_TRUE(stats.ok);
   EXPECT_FALSE(stats.index_ok);
   EXPECT_EQ(stats.loaded, 3u);
-  EXPECT_EQ(Lines(loaded.records()), Lines(store.records()));
+  EXPECT_EQ(Fingerprints(loaded.records()), Fingerprints(store.records()));
 }
 
 TEST(RecordStoreBinary, ChecksumMismatchDetected) {
@@ -194,7 +225,7 @@ TEST(RecordStoreBinary, ChecksumMismatchDetected) {
   for (TuningRecord r : AllKindsRecords()) {
     store.Add(std::move(r));
   }
-  std::string bytes = store.Serialize(RecordCodec::kBinary);
+  std::string bytes = store.Serialize();
   // Flip a payload byte (inside the records, past the tables): the footer
   // checksum must catch it and the loader must degrade, not trust the index.
   bytes[bytes.size() / 2] ^= 0x01;
@@ -213,14 +244,15 @@ TEST(RecordStoreBinary, TruncationNeverCrashesAndCountsLoss) {
     r.seconds += 1e-9 * i;
     store.Add(std::move(r));
   }
-  std::string bytes = store.Serialize(RecordCodec::kBinary);
+  std::string bytes = store.Serialize();
   for (size_t cut = 0; cut < bytes.size(); cut += 7) {
     RecordStore loaded(RecordStore::Options{/*dedup=*/false});
     RecordLoadStats stats = loaded.Deserialize(bytes.substr(0, cut));
-    // Prefixes shorter than the magic fall back to the text codec (garbage
-    // lines skipped); binary prefixes must account for every record, as
-    // loaded or as skipped.
-    if (cut >= 8 && stats.ok) {
+    // Prefixes shorter than the magic are rejected whole; longer ones must
+    // account for every record, as loaded or as skipped.
+    if (cut < 8) {
+      EXPECT_FALSE(stats.ok) << "cut=" << cut;
+    } else if (stats.ok) {
       EXPECT_EQ(stats.loaded + stats.skipped, 20u) << "cut=" << cut;
     }
     EXPECT_EQ(loaded.size(), stats.loaded);
@@ -238,13 +270,13 @@ TEST(RecordStoreBinary, StreamingMatchesDeserialize) {
   for (TuningRecord r : AllKindsRecords()) {
     store.Add(std::move(r));
   }
-  std::string bytes = store.Serialize(RecordCodec::kBinary);
+  std::string bytes = store.Serialize();
 
-  std::vector<std::string> streamed;
+  std::vector<TuningRecord> streamed;
   RecordLoadStats stats = RecordStore::ForEachRecord(
-      bytes, [&](TuningRecord r) { streamed.push_back(SerializeRecord(r)); });
+      bytes, [&](TuningRecord r) { streamed.push_back(std::move(r)); });
   EXPECT_TRUE(stats);
-  EXPECT_EQ(streamed, Lines(store.records()));
+  EXPECT_EQ(Fingerprints(streamed), Fingerprints(store.records()));
 }
 
 TEST(RecordStoreConcurrency, ParallelAddsAccountExactly) {
