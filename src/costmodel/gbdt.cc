@@ -29,6 +29,15 @@ BinMap BuildBins(const FeatureMatrix& rows, int max_bins) {
   std::vector<float> values;
   values.reserve(n_rows);
   for (size_t f = 0; f < dim; ++f) {
+    // A constant column has one distinct value and therefore no edges; about
+    // half of the extracted features are constant, so skip their sort.
+    size_t same = 1;
+    while (same < n_rows && rows.at(same, f) == rows.at(0, f)) {
+      ++same;
+    }
+    if (same == n_rows) {
+      continue;
+    }
     values.clear();
     for (size_t i = 0; i < n_rows; ++i) {
       values.push_back(rows.at(i, f));
@@ -56,23 +65,38 @@ BinMap BuildBins(const FeatureMatrix& rows, int max_bins) {
 
 struct SplitResult {
   double gain = 0.0;
-  int feature = -1;
-  int bin = -1;  // go left when bin(x) <= bin
+  int slot = -1;  // index into the live feature list; -1 when no split helps
+  int bin = -1;   // go left when bin(x) <= bin
   float threshold = 0.0f;
 };
 
-// Builds one tree over pre-binned rows. `binned` is column-major
-// (binned[f * n_rows + i]), so the histogram inner loop reads one contiguous
-// column per feature.
+// Gradient and hessian sums of one histogram bin.
+struct GradSum {
+  double g = 0.0;
+  double h = 0.0;
+};
+
+// Builds trees over pre-binned rows. Only live features (those with at least
+// one bin edge) are binned, row-major: binned[i * live.size() + j] is row i's
+// bin of feature live[j]. One pass over a node's rows then fills every live
+// feature's histogram, and each (feature, bin) sum still adds its rows in the
+// node's row order, as a per-feature pass would.
 class TreeBuilder {
  public:
-  TreeBuilder(const std::vector<uint8_t>& binned, size_t n_rows, const BinMap& bins,
-              const std::vector<double>& grad, const std::vector<double>& hess,
-              const GbdtParams& params)
-      : binned_(binned), n_rows_(n_rows), bins_(bins), grad_(grad), hess_(hess),
-        params_(params) {}
+  TreeBuilder(const std::vector<uint8_t>& binned, size_t n_rows, const std::vector<int>& live,
+              const BinMap& bins, const std::vector<double>& grad,
+              const std::vector<double>& hess, const GbdtParams& params)
+      : binned_(binned), n_rows_(n_rows), live_(live), bins_(bins), grad_(grad), hess_(hess),
+        params_(params) {
+    for (int f : live_) {
+      stride_ = std::max(stride_, bins_.edges[static_cast<size_t>(f)].size() + 1);
+    }
+    hist_.resize(live_.size() * stride_);
+  }
 
+  // Builds one tree from the current contents of grad and hess.
   Tree Build() {
+    tree_ = Tree();
     std::vector<int> all(n_rows_);
     for (size_t i = 0; i < all.size(); ++i) {
       all[i] = static_cast<int>(i);
@@ -82,10 +106,6 @@ class TreeBuilder {
   }
 
  private:
-  uint8_t BinAt(size_t feature, int row) const {
-    return binned_[feature * n_rows_ + static_cast<size_t>(row)];
-  }
-
   int BuildNode(const std::vector<int>& rows, int depth) {
     double g = 0.0;
     double h = 0.0;
@@ -103,13 +123,14 @@ class TreeBuilder {
       return node_id;
     }
     SplitResult best = FindBestSplit(rows, g, h);
-    if (best.feature < 0) {
+    if (best.slot < 0) {
       return node_id;
     }
     std::vector<int> left;
     std::vector<int> right;
     for (int i : rows) {
-      if (BinAt(static_cast<size_t>(best.feature), i) <= best.bin) {
+      if (binned_[static_cast<size_t>(i) * live_.size() + static_cast<size_t>(best.slot)] <=
+          best.bin) {
         left.push_back(i);
       } else {
         right.push_back(i);
@@ -122,7 +143,7 @@ class TreeBuilder {
     int left_id = BuildNode(left, depth + 1);
     int right_id = BuildNode(right, depth + 1);
     TreeNode& node = tree_.nodes[static_cast<size_t>(node_id)];
-    node.feature = best.feature;
+    node.feature = live_[static_cast<size_t>(best.slot)];
     node.threshold = best.threshold;
     node.left = left_id;
     node.right = right_id;
@@ -130,29 +151,30 @@ class TreeBuilder {
   }
 
   SplitResult FindBestSplit(const std::vector<int>& rows, double g_total, double h_total) {
+    size_t n_live = live_.size();
+    std::fill(hist_.begin(), hist_.end(), GradSum());
+    for (int i : rows) {
+      double g = grad_[static_cast<size_t>(i)];
+      double h = hess_[static_cast<size_t>(i)];
+      const uint8_t* row = binned_.data() + static_cast<size_t>(i) * n_live;
+      GradSum* hist = hist_.data();
+      for (size_t j = 0; j < n_live; ++j, hist += stride_) {
+        GradSum& sum = hist[row[j]];
+        sum.g += g;
+        sum.h += h;
+      }
+    }
+
     SplitResult best;
-    size_t dim = bins_.edges.size();
     double parent_score = g_total * g_total / (h_total + params_.lambda);
-    std::vector<double> g_hist;
-    std::vector<double> h_hist;
-    for (size_t f = 0; f < dim; ++f) {
-      size_t n_bins = bins_.edges[f].size() + 1;
-      if (n_bins < 2) {
-        continue;
-      }
-      g_hist.assign(n_bins, 0.0);
-      h_hist.assign(n_bins, 0.0);
-      const uint8_t* col = binned_.data() + f * n_rows_;
-      for (int i : rows) {
-        uint8_t b = col[static_cast<size_t>(i)];
-        g_hist[b] += grad_[static_cast<size_t>(i)];
-        h_hist[b] += hess_[static_cast<size_t>(i)];
-      }
+    for (size_t j = 0; j < n_live; ++j) {
+      const std::vector<float>& edges = bins_.edges[static_cast<size_t>(live_[j])];
+      const GradSum* hist = hist_.data() + j * stride_;
       double gl = 0.0;
       double hl = 0.0;
-      for (size_t b = 0; b + 1 < n_bins; ++b) {
-        gl += g_hist[b];
-        hl += h_hist[b];
+      for (size_t b = 0; b < edges.size(); ++b) {
+        gl += hist[b].g;
+        hl += hist[b].h;
         double gr = g_total - gl;
         double hr = h_total - hl;
         if (hl <= 0.0 || hr <= 0.0) {
@@ -162,9 +184,9 @@ class TreeBuilder {
                       parent_score;
         if (gain > best.gain + params_.min_gain) {
           best.gain = gain;
-          best.feature = static_cast<int>(f);
+          best.slot = static_cast<int>(j);
           best.bin = static_cast<int>(b);
-          best.threshold = bins_.edges[f][b];
+          best.threshold = edges[b];
         }
       }
     }
@@ -173,10 +195,13 @@ class TreeBuilder {
 
   const std::vector<uint8_t>& binned_;
   size_t n_rows_;
+  const std::vector<int>& live_;
   const BinMap& bins_;
   const std::vector<double>& grad_;
   const std::vector<double>& hess_;
   const GbdtParams& params_;
+  size_t stride_ = 0;          // histogram entries per live feature
+  std::vector<GradSum> hist_;  // live_.size() x stride_, reused by every node
   Tree tree_;
 };
 
@@ -210,14 +235,20 @@ void Gbdt::Train(const GbdtDataset& data) {
   CHECK_EQ(data.weights.size(), data.labels.size());
 
   BinMap bins = BuildBins(data.rows, params_.max_bins);
-  // Column-major binned features: the split search reads one feature across
-  // all rows at a time, so columns are the contiguous direction.
-  size_t dim = data.rows.dim();
-  std::vector<uint8_t> binned(dim * n_rows);
+  // Only features with at least one edge can split; bin just those,
+  // row-major, so the split search fills every histogram in one row pass.
+  std::vector<int> live;
+  for (size_t f = 0; f < bins.edges.size(); ++f) {
+    if (!bins.edges[f].empty()) {
+      live.push_back(static_cast<int>(f));
+    }
+  }
+  std::vector<uint8_t> binned(n_rows * live.size());
   for (size_t i = 0; i < n_rows; ++i) {
     const float* row = data.rows.row(i);
-    for (size_t f = 0; f < dim; ++f) {
-      binned[f * n_rows + i] = bins.BinOf(static_cast<int>(f), row[f]);
+    uint8_t* out = binned.data() + i * live.size();
+    for (size_t j = 0; j < live.size(); ++j) {
+      out[j] = bins.BinOf(live[j], row[live[j]]);
     }
   }
 
@@ -240,6 +271,7 @@ void Gbdt::Train(const GbdtDataset& data) {
   std::vector<double> program_pred(static_cast<size_t>(data.num_programs()), base_score_);
   std::vector<double> grad(n_rows);
   std::vector<double> hess(n_rows);
+  TreeBuilder builder(binned, n_rows, live, bins, grad, hess, params_);
   for (int t = 0; t < params_.num_trees; ++t) {
     for (size_t i = 0; i < n_rows; ++i) {
       int p = data.group[i];
@@ -249,7 +281,7 @@ void Gbdt::Train(const GbdtDataset& data) {
       grad[i] = 2.0 * wp * residual;
       hess[i] = 2.0 * wp;
     }
-    Tree tree = TreeBuilder(binned, n_rows, bins, grad, hess, params_).Build();
+    Tree tree = builder.Build();
     // Update program predictions.
     bool useful = false;
     for (int p = 0; p < data.num_programs(); ++p) {

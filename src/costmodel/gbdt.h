@@ -8,6 +8,15 @@
 // matter more. We implement the same objective: per-row gradients derive from
 // the program-level residual, trees use histogram-based greedy splits.
 //
+// Training layout: each feature gets at most max_bins uint8_t bins, with
+// edges midway between its distinct values, or at quantiles of them when
+// there are more values than bins. Only live features, those with at least
+// one edge, are binned, row-major (row i's bins are contiguous), so the split
+// search fills every live feature's {gradient, hessian} histogram in one pass
+// over a node's rows and then scans features in ascending index. Each bin sum
+// adds its rows in the node's row order, so the trees do not depend on this
+// layout. Every Train call rebuilds bins and trees from scratch.
+//
 // Inference is one scalar tree walk per row: PredictRow sums the
 // learning-rate-scaled leaf of every tree in tree order. Callers score a
 // program as base_score() plus its rows' scores in row order.

@@ -9,6 +9,7 @@
 #include "src/costmodel/gbdt.h"
 #include "src/costmodel/metrics.h"
 #include "src/dag/compute_dag.h"
+#include "src/features/feature_extraction.h"
 #include "src/ir/state.h"
 #include "src/ir/steps.h"
 #include "src/program/program_cache.h"
@@ -356,6 +357,76 @@ TEST(Gbdt, BinaryCodecRoundTripsBitExact) {
       v = static_cast<float>(rng.Uniform());
     }
     EXPECT_EQ(decoded.PredictRow(row.data()), model.PredictRow(row.data()));  // bit-identical
+  }
+}
+
+// A FeatureDim()-wide training set that reaches every binning path: constant
+// columns (no edges, so never split on), columns with few distinct values
+// (midpoint edges), and quantized continuous columns with more distinct
+// values than bins (quantile edges taken from the data, so rows sit exactly
+// on an edge). Programs hold 1-4 rows and carry unequal weights.
+GbdtDataset MixedColumnDataset() {
+  Rng rng(41);
+  size_t dim = FeatureDim();
+  GbdtDataset data;
+  for (int p = 0; p < 160; ++p) {
+    double label = 0.0;
+    int n_rows = 1 + p % 4;
+    for (int r = 0; r < n_rows; ++r) {
+      std::vector<float> row(dim);
+      for (size_t f = 0; f < dim; ++f) {
+        switch (f % 4) {
+          case 0:  // constant: a dead feature
+            row[f] = static_cast<float>(f);
+            break;
+          case 1:  // few distinct values
+            row[f] = static_cast<float>(rng.Int(0, static_cast<int64_t>(1 + f % 7)));
+            break;
+          case 2:  // continuous, many ties on a 1/512 grid
+            row[f] = static_cast<float>(rng.Int(0, 511)) / 512.0f;
+            break;
+          default:  // continuous
+            row[f] = static_cast<float>(rng.Uniform(-2.0, 2.0));
+            break;
+        }
+      }
+      label += 0.5 * row[2] + 0.1 * row[5] - 0.2 * row[7] + 0.05 * row[13];
+      data.rows.AppendRow(row);
+      data.group.push_back(p);
+    }
+    data.labels.push_back(label / n_rows + 0.2 * rng.Uniform());  // plus unlearnable noise
+    data.weights.push_back(0.25 + static_cast<double>(p % 5));
+  }
+  return data;
+}
+
+TEST(Gbdt, TrainedForestBytesGolden) {
+  // Pins the trained forest byte for byte (params, base score, every split
+  // feature, threshold and leaf value) across the bin-count range: any change
+  // to binning, the histogram sums or the split scan shows up here.
+  GbdtDataset data = MixedColumnDataset();
+  struct Case {
+    int max_bins;
+    size_t size;
+    uint64_t fnv;
+  };
+  const Case kCases[] = {{2, 79936u, 0xfc2f06227041b5d5ULL},
+                         {32, 17417u, 0x90abf0624bc3ffd0ULL},
+                         {256, 5585u, 0x7e58c71eaa5e7bc8ULL}};
+  for (const Case& c : kCases) {
+    GbdtParams params;
+    params.max_bins = c.max_bins;
+    Gbdt model(params);
+    model.Train(data);
+    ByteWriter w;
+    model.EncodeTo(&w);
+    const std::string& bytes = w.buffer();
+    char fnv[32];
+    std::snprintf(fnv, sizeof(fnv), "0x%016llxULL",
+                  static_cast<unsigned long long>(Fnv1a64(bytes.data(), bytes.size())));
+    EXPECT_EQ(bytes.size(), c.size) << "max_bins " << c.max_bins;
+    EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), c.fnv)
+        << "max_bins " << c.max_bins << ": " << fnv;
   }
 }
 
