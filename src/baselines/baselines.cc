@@ -212,9 +212,10 @@ TuneResult TemplateSearch(const SearchTask& task, Measurer* measurer,
         RandomCostModel dummy;
         EvolutionOptions evo;
         evo.sampler = sampler;
-        EvolutionarySearch es(task.dag.get(), &dummy, rng.Fork(), evo);
+        Rng mutation_rng = rng.Fork();
+        EvolutionarySearch es(task.dag.get(), &dummy, Rng(), evo);
         size_t pick = rng.Index(std::min<size_t>(pool.size(), 4));
-        State mutated = es.MutateTileSize(pool[pick].second);
+        State mutated = es.MutateTileSize(pool[pick].second, &mutation_rng);
         if (!mutated.failed()) {
           batch.push_back(std::move(mutated));
         }
@@ -229,7 +230,7 @@ TuneResult TemplateSearch(const SearchTask& task, Measurer* measurer,
     if (batch.empty()) {
       break;
     }
-    auto results = measurer->MeasureBatch(batch);
+    std::vector<MeasureResult> results = measurer->SubmitBatch(batch).Wait();
     trials += static_cast<int64_t>(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       if (!results[i].valid) {
@@ -341,7 +342,7 @@ TuneResult BeamSearch(const SearchTask& task, Measurer* measurer, CostModel* mod
     if (to_measure.empty()) {
       break;
     }
-    auto results = measurer->MeasureBatch(to_measure);
+    std::vector<MeasureResult> results = measurer->SubmitBatch(to_measure).Wait();
     trials += static_cast<int64_t>(to_measure.size());
     std::vector<FeatureMatrix> features(to_measure.size());
     std::vector<double> throughputs(to_measure.size(), 0.0);

@@ -184,10 +184,6 @@ State EvolutionarySearch::ReplayWithSplitEdit(
   return state;
 }
 
-State EvolutionarySearch::MutateTileSize(const State& state) {
-  return MutateTileSize(state, &rng_);
-}
-
 State EvolutionarySearch::MutateTileSize(const State& state, Rng* rng) {
   // Pick a random split step with at least two levels, divide one level by a
   // random factor and multiply another level by it (paper: "keeps the product
@@ -251,10 +247,6 @@ State EvolutionarySearch::MutateTileSize(const State& state, Rng* rng) {
   });
 }
 
-State EvolutionarySearch::MutatePragma(const State& state) {
-  return MutatePragma(state, &rng_);
-}
-
 State EvolutionarySearch::MutatePragma(const State& state, Rng* rng) {
   std::vector<size_t> candidates;
   for (size_t i = 0; i < state.steps().size(); ++i) {
@@ -270,10 +262,6 @@ State EvolutionarySearch::MutatePragma(const State& state, Rng* rng) {
   size_t target = candidates[rng->Index(candidates.size())];
   steps[target].pragma_value = unroll_options[rng->Index(unroll_options.size())];
   return Normalized(State::Replay(dag_, steps));
-}
-
-State EvolutionarySearch::MutateParallelGranularity(const State& state) {
-  return MutateParallelGranularity(state, &rng_);
 }
 
 State EvolutionarySearch::MutateParallelGranularity(const State& state, Rng* rng) {
@@ -303,10 +291,6 @@ State EvolutionarySearch::MutateParallelGranularity(const State& state, Rng* rng
     return State::Failure(dag_, "fuse count below minimum");
   }
   return Normalized(State::Replay(dag_, steps));
-}
-
-State EvolutionarySearch::MutateVectorize(const State& state) {
-  return MutateVectorize(state, &rng_);
 }
 
 State EvolutionarySearch::MutateVectorize(const State& state, Rng* rng) {
@@ -339,10 +323,6 @@ State EvolutionarySearch::MutateVectorize(const State& state, Rng* rng) {
   steps.push_back(MakeAnnotationStep(
       stage, static_cast<int>(state.stage(idx).iters.size()) - 1, IterAnnotation::kVectorize));
   return Normalized(State::Replay(dag_, steps));
-}
-
-State EvolutionarySearch::MutateComputeLocation(const State& state) {
-  return MutateComputeLocation(state, &rng_);
 }
 
 State EvolutionarySearch::MutateComputeLocation(const State& state, Rng* rng) {
@@ -392,13 +372,13 @@ CrossoverScoreCache::StageScores EvolutionarySearch::ComputeStageScores(const St
   return scores;
 }
 
-State EvolutionarySearch::Crossover(const State& a, const State& b) {
+State EvolutionarySearch::Crossover(const State& a, const State& b, Rng* rng) {
   if (!SkeletonsMatch(a, b)) {
     return State::Failure(dag_, "crossover skeleton mismatch");
   }
   auto score_a = ComputeStageScores(a);
   auto score_b = ComputeStageScores(b);
-  return Crossover(a, b, score_a, score_b, &rng_);
+  return Crossover(a, b, score_a, score_b, rng);
 }
 
 State EvolutionarySearch::Crossover(const State& a, const State& b,

@@ -173,15 +173,19 @@ class EvolutionarySearch {
   // Hot-path counters of the most recent Evolve() call.
   const EvolutionStats& stats() const { return stats_; }
 
-  // Individual operators, exposed for tests. All draw from the search's own
-  // RNG and return the canonical State::Failure on an invalid edit (callers
-  // discard); a partially-replayed state is never returned.
-  State MutateTileSize(const State& state);
-  State MutatePragma(const State& state);
-  State MutateParallelGranularity(const State& state);
-  State MutateVectorize(const State& state);
-  State MutateComputeLocation(const State& state);
-  State Crossover(const State& a, const State& b);
+  // Individual operators, exposed for tests and baselines. Each draws from
+  // the given RNG stream (child generation gives every slot its own, so it
+  // parallelizes deterministically) and returns the canonical State::Failure
+  // on an invalid edit (callers discard); a partially-replayed state is never
+  // returned.
+  State MutateTileSize(const State& state, Rng* rng);
+  State MutatePragma(const State& state, Rng* rng);
+  State MutateParallelGranularity(const State& state, Rng* rng);
+  State MutateVectorize(const State& state, Rng* rng);
+  State MutateComputeLocation(const State& state, Rng* rng);
+  // Node-based crossover scoring both parents' stages with the cost model
+  // (through the program cache's per-artifact memo when one is injected).
+  State Crossover(const State& a, const State& b, Rng* rng);
 
   // Replays `steps` with SplitStep lengths rewritten by `edit(step_index,
   // extent, lengths*)`; other steps replay verbatim. Exposed for tests: a
@@ -191,13 +195,6 @@ class EvolutionarySearch {
       const std::function<void(size_t, int64_t, std::vector<int64_t>*)>& edit);
 
  private:
-  // Operator implementations drawing from an explicit per-slot RNG stream so
-  // child generation parallelizes deterministically.
-  State MutateTileSize(const State& state, Rng* rng);
-  State MutatePragma(const State& state, Rng* rng);
-  State MutateParallelGranularity(const State& state, Rng* rng);
-  State MutateVectorize(const State& state, Rng* rng);
-  State MutateComputeLocation(const State& state, Rng* rng);
   State RandomMutation(const State& state, Rng* rng);
   // Crossover with both parents' per-stage scores supplied by the caller
   // (from the per-generation cache on the hot path).
@@ -205,7 +202,7 @@ class EvolutionarySearch {
                   const CrossoverScoreCache::StageScores& score_a,
                   const CrossoverScoreCache::StageScores& score_b, Rng* rng);
   // Lowers + feature-extracts + scores one state from scratch (used by the
-  // public Crossover; the hot path reads the cache instead).
+  // public Crossover; the hot path reads the CrossoverScoreCache instead).
   CrossoverScoreCache::StageScores ComputeStageScores(const State& state);
   // Normalizes any failed state to the canonical State::Failure.
   State Normalized(State state) const;

@@ -210,22 +210,6 @@ MeasureResult Measurer::Measure(const State& state, ProgramCache* cache,
                      cache_client_id, tracer);
 }
 
-std::vector<MeasureResult> Measurer::MeasureBatch(const std::vector<State>& states,
-                                                  ProgramCache* cache,
-                                                  uint64_t cache_client_id,
-                                                  const Tracer* tracer) {
-  ProgramCache* resolved = cache != nullptr ? cache : options_.program_cache;
-  TraceSpan batch(tracer, "measure_batch", "measure");
-  batch.Arg("count", static_cast<int64_t>(states.size()));
-  Tracer nested = batch.child();
-  const Tracer* item_tracer = batch.enabled() ? &nested : nullptr;
-  std::vector<MeasureResult> results(states.size());
-  ThreadPool::OrGlobal(options_.thread_pool).ParallelFor(states.size(), [&](size_t i) {
-    results[i] = MeasureImpl(states[i], 0, resolved, cache_client_id, item_tracer);
-  });
-  return results;
-}
-
 PendingMeasureBatch Measurer::SubmitBatch(std::vector<State> states, ProgramCache* cache,
                                           uint64_t cache_client_id, ThreadPool* pool,
                                           const Tracer* tracer) {

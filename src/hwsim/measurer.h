@@ -41,12 +41,11 @@ struct MeasureOptions {
   // hiccups, timeouts). The search must tolerate these without permanently
   // blacklisting the affected programs.
   std::function<bool(const State&)> fail_injector;
-  // Pool for MeasureBatch / SubmitBatch; nullptr = the caller's pool (async
-  // path) or ThreadPool::Global(). Injectable so the thread-count-invariance
-  // tests control every parallel stage of a round, and so a measurer can model
-  // a dedicated device executor whose capacity is independent of the host
-  // workers (the micro_service bench gives each tenant's measurer a
-  // single-thread device pool).
+  // Pool for SubmitBatch; nullptr = the caller's pool or ThreadPool::Global().
+  // Injectable so the thread-count-invariance tests control every parallel
+  // stage of a round, and so a measurer can model a dedicated device executor
+  // whose capacity is independent of the host workers (the micro_service
+  // bench gives each tenant's measurer a single-thread device pool).
   ThreadPool* thread_pool = nullptr;
   // Default compiled-program cache: candidates already lowered by the search
   // (population scoring) are measured without re-lowering. Overridable per
@@ -118,21 +117,19 @@ class Measurer {
   // covering submit→complete. Results are identical with tracing on or off.
   MeasureResult Measure(const State& state, ProgramCache* cache = nullptr,
                         uint64_t cache_client_id = 0, const Tracer* tracer = nullptr);
-  std::vector<MeasureResult> MeasureBatch(const std::vector<State>& states,
-                                          ProgramCache* cache = nullptr,
-                                          uint64_t cache_client_id = 0,
-                                          const Tracer* tracer = nullptr);
 
-  // Asynchronous MeasureBatch: enqueues one measurement per state and returns
-  // immediately. Items run on MeasureOptions::thread_pool when set (the
-  // measurer's device executor — a dedicated target device must not have its
-  // occupancy diluted onto host workers), else on `pool`, else the global
-  // pool. The submit/drain split lets the caller overlap its own work
-  // — the next round's search, training-feature extraction — with the batch
-  // in flight, and lets a deadline cancel the unstarted remainder. The
-  // Measurer (and cache, if any) must outlive the returned handle's Wait().
-  // With a tracer, the "measure_batch" span opens at submission and is
-  // recorded by whichever worker completes the batch's last item.
+  // Batch measurement: enqueues one measurement per state and returns
+  // immediately (SubmitBatch(...).Wait() measures synchronously). Items run on
+  // MeasureOptions::thread_pool when set (the measurer's device executor — a
+  // dedicated target device must not have its occupancy diluted onto host
+  // workers), else on `pool`, else the global pool. The caller does not help
+  // run the items, so it must not wait from a worker of that pool. The
+  // submit/drain split lets the caller overlap its own work — training-feature
+  // extraction — with the batch in flight, and lets a deadline cancel the
+  // unstarted remainder. The Measurer (and cache, if any) must outlive the
+  // returned handle's Wait(). With a tracer, the "measure_batch" span opens at
+  // submission and is recorded by whichever worker completes the batch's last
+  // item.
   PendingMeasureBatch SubmitBatch(std::vector<State> states, ProgramCache* cache = nullptr,
                                   uint64_t cache_client_id = 0, ThreadPool* pool = nullptr,
                                   const Tracer* tracer = nullptr);

@@ -285,15 +285,22 @@ void TaskScheduler::RecordRound(int task_index, double before_seconds,
   history_.emplace_back(trials, ObjectiveValue());
 }
 
+int TaskScheduler::RunRound(const Tracer& round_tracer, int64_t deadline_nanos) {
+  int pick = NextTask();
+  TaskTuner* tuner = tuners_[static_cast<size_t>(pick)].get();
+  if (round_tracer.enabled()) {
+    // Everything the tuner records this round nests under the round's span.
+    tuner->set_tracer(round_tracer.WithTask(pick));
+  }
+  double before = tuner->best_seconds();
+  double after = tuner->TuneRound(options_.measures_per_round, deadline_nanos);
+  RecordRound(pick, before, after);
+  return pick;
+}
+
 void TaskScheduler::Tune(int total_rounds) {
-  // The legacy synchronous loop, now expressed through the step-wise
-  // interface the TuningService drives — one code path, so a 1-worker
-  // service run is bit-identical by construction.
   for (int round = 0; round < total_rounds; ++round) {
-    int pick = NextTask();
-    double before = tuners_[static_cast<size_t>(pick)]->best_seconds();
-    double after = tuners_[static_cast<size_t>(pick)]->TuneRound(options_.measures_per_round);
-    RecordRound(pick, before, after);
+    RunRound();
   }
 }
 

@@ -60,19 +60,17 @@ struct TaskSchedulerOptions {
   // Optional per-task customization of the search options each TaskTuner is
   // constructed with (invoked once per task, on a copy of `search`). The
   // TuningService uses this seam to hand same-similarity-tag tasks a shared
-  // ProgramCache and a distinct cache_client_id; the legacy path leaves it
-  // unset. Must not change anything that affects search results across
-  // runs being compared (cache injection and client ids are safe: results
-  // are cache-invariant by construction).
+  // ProgramCache and a distinct cache_client_id. Must not change anything
+  // that affects search results across runs being compared (cache injection
+  // and client ids are safe: results are cache-invariant by construction).
   std::function<void(size_t task_index, const SearchTask& task, SearchOptions* search)>
       per_task_search;
 };
 
-// The gradient allocation policy. Historically this class WAS the tuning
-// loop (Tune() below still is, for the legacy synchronous path); the
-// step-wise NextTask()/RecordRound() interface lets an external driver — the
-// TuningService — own the loop instead, overlapping one round's measurement
-// with other work while this class only decides who runs next.
+// The gradient allocation policy and the one tuning-loop step: RunRound
+// picks a task, runs one TaskTuner::TuneRound on it and records the outcome.
+// Tune() loops over RunRound; the TuningService calls RunRound once per round
+// with its round span and the job deadline.
 //
 // RNG draw-order contract (pinned; enforced by the SchedulerGradient golden-
 // trace test): the warm-up pass consumes NO random draws — while any task
@@ -89,22 +87,17 @@ class TaskScheduler {
                 Objective objective, Measurer* measurer, CostModel* model,
                 TaskSchedulerOptions options = TaskSchedulerOptions());
 
-  // Runs until `total_rounds` allocation units are spent (one unit = one
-  // tuning round of measures_per_round trials). Starts with one round-robin
-  // warm-up pass. Equivalent to driving NextTask / TaskTuner::TuneRound /
-  // RecordRound in a loop (which is exactly what it does).
+  // Runs one allocation unit: picks the task receiving the round (the
+  // lowest-index unvisited task during warm-up, then eps-greedy exploration
+  // vs the §6.2 gradient argmax; RNG per the contract above), runs
+  // TaskTuner::TuneRound on it with `deadline_nanos`, and records the round.
+  // An enabled `round_tracer` becomes the tuner's tracer, stamped with the
+  // picked task. Returns the picked task index.
+  int RunRound(const Tracer& round_tracer = Tracer(),
+               int64_t deadline_nanos = TaskTuner::kNoDeadline);
+  // Runs `total_rounds` rounds (one unit = one tuning round of
+  // measures_per_round trials), starting with one round-robin warm-up pass.
   void Tune(int total_rounds);
-
-  // Step-wise interface (the service loop's view) -----------------------------
-  // Picks the task receiving the next tuning round: the lowest-index
-  // unvisited task during warm-up, then eps-greedy exploration vs the §6.2
-  // gradient argmax. Consumes RNG per the contract above.
-  int NextTask();
-  // Records a completed round on `task_index`: allocation count, latency
-  // history, stagnation tracking (f4), the (trials, objective) curve, and
-  // the allocation trace. `before_seconds`/`after_seconds` are the task's
-  // best latency before and after the round.
-  void RecordRound(int task_index, double before_seconds, double after_seconds);
 
   // Latency (seconds) of DNN j under the current best programs.
   double NetworkLatency(int network_index) const;
@@ -135,6 +128,12 @@ class TaskScheduler {
   const std::vector<std::pair<int64_t, double>>& history() const { return history_; }
 
  private:
+  int NextTask();
+  // Records a completed round on `task_index`: allocation count, latency
+  // history, stagnation tracking (f4), the (trials, objective) curve, and
+  // the allocation trace. `before_seconds`/`after_seconds` are the task's
+  // best latency before and after the round.
+  void RecordRound(int task_index, double before_seconds, double after_seconds);
   double EvalObjective(const std::vector<double>& task_latency) const;
   std::vector<double> CurrentLatencies() const;
   // Both take the current latency snapshot so one gradient pick computes

@@ -53,7 +53,7 @@ std::vector<State> TaskTuner::SampleRandomPrograms(int count) {
   return result;
 }
 
-PlannedRound TaskTuner::PlanRound(int num_measures) {
+TaskTuner::PlannedRound TaskTuner::PlanRound(int num_measures) {
   PlannedRound round;
   if (sketches_.empty() || num_measures <= 0) {
     return round;
@@ -136,25 +136,15 @@ PlannedRound TaskTuner::PlanRound(int num_measures) {
   return round;
 }
 
-PendingMeasureBatch TaskTuner::SubmitPlannedRound(const PlannedRound& round,
-                                                  ThreadPool* pool) {
-  return measurer_->SubmitBatch(round.to_measure, cache_, options_.cache_client_id,
-                                pool != nullptr ? pool : options_.thread_pool,
-                                tracer_.enabled() ? &tracer_ : nullptr);
-}
-
 void TaskTuner::ExtractFeatures(PlannedRound* round) {
-  if (!round->features.empty()) {
-    return;  // already extracted
-  }
   const int64_t t0 = clock_->NowNanos();
   TraceSpan span(tracer_, "training_features", "search");
   Tracer nested = span.child();
   const Tracer* nested_ptr = span.enabled() ? &nested : nullptr;
   // Training features are copied out of the cached artifacts (the
-  // per-candidate copy is mutated at commit when a transient failure must
+  // per-candidate copy is cleared at commit when a transient failure must
   // not train a zero-throughput sample). Artifacts were compiled during
-  // planning, so this is cheap and safe to overlap with the in-flight batch.
+  // planning, so this is cheap.
   round->features.resize(round->to_measure.size());
   ThreadPool::OrGlobal(options_.thread_pool)
       .ParallelFor(round->to_measure.size(), [&](size_t i) {
@@ -166,9 +156,6 @@ void TaskTuner::ExtractFeatures(PlannedRound* round) {
 }
 
 double TaskTuner::CommitRound(PlannedRound round, const std::vector<MeasureResult>& results) {
-  if (round.to_measure.empty()) {
-    return best_seconds_;
-  }
   CHECK_EQ(results.size(), round.to_measure.size());
   const int64_t t0 = clock_->NowNanos();
   TraceSpan commit_span(tracer_, "commit_round", "search");
@@ -189,7 +176,6 @@ double TaskTuner::CommitRound(PlannedRound round, const std::vector<MeasureResul
   // recorded in measured_signatures_: a transient invalid result must not
   // permanently blacklist the program. Invalid results are tallied per
   // signature and blacklist only after max_invalid_measures attempts.
-  ExtractFeatures(&round);
   std::vector<FeatureMatrix>& features = round.features;
   std::vector<double> throughputs(round.to_measure.size(), 0.0);
   for (size_t i = 0; i < round.to_measure.size(); ++i) {
@@ -247,16 +233,32 @@ double TaskTuner::CommitRound(PlannedRound round, const std::vector<MeasureResul
   return best_seconds_;
 }
 
-double TaskTuner::TuneRound(int num_measures) {
+double TaskTuner::TuneRound(int num_measures, int64_t deadline_nanos) {
   PlannedRound round = PlanRound(num_measures);
   if (round.to_measure.empty()) {
     return best_seconds_;
   }
-  const int64_t t0 = clock_->NowNanos();
-  std::vector<MeasureResult> results =
-      measurer_->MeasureBatch(round.to_measure, cache_, options_.cache_client_id,
-                              tracer_.enabled() ? &tracer_ : nullptr);
-  phase_times_.measure_wall_seconds += SecondsBetween(t0, clock_->NowNanos());
+  const int64_t submit_nanos = clock_->NowNanos();
+  PendingMeasureBatch batch =
+      measurer_->SubmitBatch(round.to_measure, cache_, options_.cache_client_id,
+                             options_.thread_pool, tracer_.enabled() ? &tracer_ : nullptr);
+  // The features depend on the candidates, not the results: extract them
+  // while the batch measures.
+  ExtractFeatures(&round);
+  const int64_t features_done_nanos = clock_->NowNanos();
+  if (deadline_nanos != kNoDeadline &&
+      !batch.WaitFor(SecondsBetween(features_done_nanos, deadline_nanos))) {
+    // Past the deadline: unstarted trials come back cancelled; in-flight ones
+    // finish, so Wait() below cannot hang.
+    batch.Cancel();
+  }
+  std::vector<MeasureResult> results = batch.Wait();
+  const int64_t batch_done_nanos = clock_->NowNanos();
+  phase_times_.measure_wall_seconds += SecondsBetween(submit_nanos, batch_done_nanos);
+  // The part of feature extraction that fits inside the batch's wall time
+  // ran overlapped with it.
+  phase_times_.overlap_seconds += std::min(SecondsBetween(submit_nanos, features_done_nanos),
+                                           SecondsBetween(submit_nanos, batch_done_nanos));
   return CommitRound(std::move(round), results);
 }
 

@@ -8,6 +8,7 @@
 #ifndef ANSOR_SRC_SEARCH_SEARCH_POLICY_H_
 #define ANSOR_SRC_SEARCH_SEARCH_POLICY_H_
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -129,14 +130,12 @@ struct SearchOptions {
 };
 
 // Wall-clock seconds a tuner (or a whole job) spent in each phase of the
-// tuning loop. Sketch/search/feature/commit accumulate inside TaskTuner;
-// measure_wall is the submit→complete wall time of measurement batches
-// (accumulated by TuneRound on the synchronous path and by the service
-// driver on the overlapped path, which also credits `overlap` — the portion
-// of search-side work that ran while a batch was in flight).
+// tuning loop, all accumulated by TaskTuner::TuneRound. measure_wall is the
+// submit→complete wall time of each round's measurement batch; overlap is the
+// part of it during which the round's training-feature extraction ran.
 struct SearchPhaseTimes {
   double sketch_seconds = 0.0;
-  double search_seconds = 0.0;   // PlanRound: evolution + candidate filtering
+  double search_seconds = 0.0;   // planning: evolution + candidate filtering
   double feature_seconds = 0.0;  // training-feature extraction
   double measure_wall_seconds = 0.0;
   double commit_seconds = 0.0;   // result bookkeeping + cost-model training
@@ -147,7 +146,7 @@ struct SearchPhaseTimes {
            commit_seconds;
   }
   // Fraction of measurement wall time that was hidden behind search-side
-  // work (the async pipeline's win; 0 on the synchronous path).
+  // work.
   double OverlapFraction() const {
     return measure_wall_seconds > 0.0 ? overlap_seconds / measure_wall_seconds : 0.0;
   }
@@ -161,23 +160,6 @@ struct SearchPhaseTimes {
   }
 };
 
-// One planned-but-not-yet-committed tuning round: the candidates PlanRound
-// selected for measurement, their precomputed signatures, and (optionally)
-// their training features. The step-wise resumable-round interface exists so
-// the TuningService can overlap phases: plan, submit the batch, extract
-// features while the batch is in flight, then commit the results. TuneRound
-// composes the same steps back-to-back, so Plan + Measure + Commit is
-// bit-identical to the legacy synchronous round.
-struct PlannedRound {
-  std::vector<State> to_measure;
-  std::vector<std::string> signatures;  // StepSignature per candidate
-  // Per-candidate training-feature matrices, copied out of the cached
-  // artifacts. Filled by ExtractFeatures (overlappable with measurement);
-  // CommitRound extracts them itself when left empty. Pure function of
-  // to_measure, so when it runs does not affect results.
-  std::vector<FeatureMatrix> features;
-};
-
 // Per-task tuner holding search state across rounds so the task scheduler can
 // interleave tasks (paper §6: one round == "one unit of time resources").
 class TaskTuner {
@@ -185,31 +167,20 @@ class TaskTuner {
   TaskTuner(SearchTask task, Measurer* measurer, CostModel* model,
             SearchOptions options = SearchOptions());
 
-  // Runs one tuning round with a budget of `num_measures` measurement trials.
-  // Returns the best latency (seconds) found so far; infinity until a valid
-  // program is measured. Equivalent to PlanRound + SubmitPlannedRound/Wait +
-  // CommitRound (the step-wise path the TuningService drives).
-  double TuneRound(int num_measures);
+  // TuneRound's `deadline_nanos` for a round without a deadline.
+  static constexpr int64_t kNoDeadline = std::numeric_limits<int64_t>::max();
 
-  // Step-wise (resumable) round interface ------------------------------------
-  // Selects up to `num_measures` candidates (evolution + epsilon-random
-  // exploration, deduplicated against already-measured programs, statically
-  // filtered). Consumes the tuner RNG exactly as the same phase of TuneRound.
-  PlannedRound PlanRound(int num_measures);
-  // Enqueues the round's candidates for asynchronous measurement on `pool`
-  // through the task's program cache. Empty rounds return a completed handle.
-  PendingMeasureBatch SubmitPlannedRound(const PlannedRound& round,
-                                         ThreadPool* pool = nullptr);
-  // Copies the candidates' training features out of the cached artifacts
-  // (idempotent; safe to run while the round's batch measures concurrently —
-  // artifacts are immutable and the cache is thread-safe).
-  void ExtractFeatures(PlannedRound* round);
-  // Applies the measurement results: best-program tracking, blacklist
-  // bookkeeping, cost-model training, history. `results` must be
-  // index-aligned with round.to_measure. Cancelled results (deadline) are
-  // skipped entirely: no budget spent, no blacklist entry, no training
-  // sample. Returns the best latency so far.
-  double CommitRound(PlannedRound round, const std::vector<MeasureResult>& results);
+  // Runs one tuning round with a budget of `num_measures` measurement trials:
+  // plans candidates (evolution + epsilon-random exploration, deduplicated
+  // against already-measured programs, statically filtered), submits them for
+  // measurement on SearchOptions::thread_pool, extracts their training
+  // features while the batch is in flight, then commits the results. Past
+  // `deadline_nanos` on the tuner clock the unstarted trials are cancelled:
+  // they cost no budget, no blacklist entry and no training sample. Returns
+  // the best latency (seconds) found so far; infinity until a valid program
+  // is measured. Must not run on a worker of the pool it measures on: the
+  // caller blocks on the batch without helping.
+  double TuneRound(int num_measures, int64_t deadline_nanos = kNoDeadline);
 
   const SearchTask& task() const { return task_; }
   double best_seconds() const { return best_seconds_; }
@@ -235,20 +206,39 @@ class TaskTuner {
   // Trials whose results came back cancelled (deadline hit before start).
   int64_t cancelled_measures() const { return cancelled_measures_; }
   // Per-phase wall-time attribution accumulated across rounds (single
-  // injected clock; see SearchOptions::clock). The synchronous TuneRound
-  // path fills measure_wall itself; on the service's overlapped path the
-  // driver owns measure_wall/overlap and merges.
+  // injected clock; see SearchOptions::clock).
   const SearchPhaseTimes& phase_times() const { return phase_times_; }
-  // EvolutionStats summed over every PlanRound this tuner ran (the per-call
+  // EvolutionStats summed over every round this tuner planned (the per-call
   // stats are reset by each Evolve; this is the round-spanning mirror the
   // metrics registry snapshots).
   const EvolutionStats& evolution_stats() const { return evolution_stats_; }
-  // Re-attributes subsequent spans (round/parent change): the service driver
-  // points this at the current round's span before planning it.
+  // Re-attributes subsequent spans (round/parent change): the scheduler
+  // points this at the current round's span before running it.
   void set_tracer(const Tracer& tracer) { tracer_ = tracer; }
 
  private:
+  // One planned-but-not-yet-committed round: the candidates selected for
+  // measurement, their precomputed signatures, and their training features.
+  struct PlannedRound {
+    std::vector<State> to_measure;
+    std::vector<std::string> signatures;  // StepSignature per candidate
+    // Per-candidate training-feature matrices, copied out of the cached
+    // artifacts by ExtractFeatures. A pure function of to_measure, so it can
+    // run while the batch measures.
+    std::vector<FeatureMatrix> features;
+  };
+
   std::vector<State> SampleRandomPrograms(int count);
+  // Selects up to `num_measures` candidates for the round.
+  PlannedRound PlanRound(int num_measures);
+  // Copies the candidates' training features out of the cached artifacts
+  // (safe while the round's batch measures: artifacts are immutable and the
+  // cache is thread-safe).
+  void ExtractFeatures(PlannedRound* round);
+  // Applies the measurement results (index-aligned with round.to_measure):
+  // budget, best-program tracking, blacklist bookkeeping, record sinks,
+  // cost-model training, history. Returns the best latency so far.
+  double CommitRound(PlannedRound round, const std::vector<MeasureResult>& results);
 
   SearchTask task_;
   Measurer* measurer_;

@@ -5,6 +5,21 @@
 #include <cmath>
 
 namespace ansor {
+namespace {
+
+// The clock reading `seconds` after `start_nanos`, or TaskTuner::kNoDeadline
+// when that does not fit in int64 nanoseconds (infinity, NaN, far future).
+int64_t DeadlineNanos(int64_t start_nanos, double seconds) {
+  const double nanos = std::max(seconds * 1e9, 0.0);  // keeps NaN
+  const int64_t room = TaskTuner::kNoDeadline - start_nanos;
+  if (!(nanos < static_cast<double>(room))) {
+    return TaskTuner::kNoDeadline;
+  }
+  // The double `room` can round up past the integer one; clamp again.
+  return start_nanos + std::min(static_cast<int64_t>(nanos), room);
+}
+
+}  // namespace
 
 const char* JobStatusName(JobStatus s) {
   switch (s) {
@@ -117,7 +132,7 @@ ProgramCache* TuningService::SharedCacheForTag(const std::string& tag) {
   std::lock_guard<std::mutex> lock(mu_);
   std::unique_ptr<ProgramCache>& cache = tag_caches_[tag];
   if (cache == nullptr) {
-    cache = std::make_unique<ProgramCache>(options_.shared_cache_capacity);
+    cache = std::make_unique<ProgramCache>();
   }
   return cache.get();
 }
@@ -208,7 +223,7 @@ void TuningService::RunJob(JobState* job) {
   Tracer warm_tracer = job_span.child();
   for (size_t i = 0; i < n_tasks; ++i) {
     client_ids[i] = next_client_id_.fetch_add(1);
-    if (options_.share_caches_by_tag && !spec.tasks[i].tag.empty()) {
+    if (!spec.tasks[i].tag.empty()) {
       tag_caches[i] = SharedCacheForTag(spec.tasks[i].tag);
       // Fleet warm start: seed the shared cache with every persisted
       // artifact of this task before its tuner first touches it.
@@ -237,19 +252,12 @@ void TuningService::RunJob(JobState* job) {
   TaskScheduler scheduler(spec.tasks, spec.networks, spec.objective, spec.measurer,
                           spec.model, opts);
 
-  const bool has_deadline = std::isfinite(spec.deadline_seconds);
-  const int64_t deadline_nanos =
-      has_deadline ? start_nanos + static_cast<int64_t>(spec.deadline_seconds * 1e9)
-                   : std::numeric_limits<int64_t>::max();
-  // Driver-observed measurement timing: the tuners account for their own
-  // search-side phases, but on this overlapped path only the driver sees
-  // when a batch was submitted and when it completed — and how much search
-  // work ran while it was in flight.
-  SearchPhaseTimes driver_times;
+  const int64_t deadline_nanos = DeadlineNanos(start_nanos, spec.deadline_seconds);
   bool deadline_hit = false;
   int rounds = 0;
   while (rounds < spec.total_rounds && !job->cancel.load(std::memory_order_acquire)) {
-    if (has_deadline && clock_->NowNanos() >= deadline_nanos) {
+    // Also catches a round that the deadline cut short.
+    if (clock_->NowNanos() >= deadline_nanos) {
       deadline_hit = true;
       break;
     }
@@ -257,54 +265,14 @@ void TuningService::RunJob(JobState* job) {
                              ? job_span.child().WithRound(rounds)
                              : Tracer(),
                          "round", "service");
-    int pick = scheduler.NextTask();
-    TaskTuner* tuner = scheduler.tuners()[static_cast<size_t>(pick)].get();
-    if (round_span.enabled()) {
-      // "picked_task", not "task": the core attribution already emits a
-      // "task" key in args (-1 here — the round span itself spans exactly
-      // one task but the pick isn't known at construction).
-      round_span.Arg("picked_task", static_cast<int64_t>(pick));
-      // Everything the tuner records this round — planning, evolution,
-      // features, measurement, commit — nests under this round's span with
-      // the (job, task, round) attribution stamped on.
-      tuner->set_tracer(round_span.child()
-                            .WithTask(static_cast<int64_t>(pick))
-                            .WithRound(rounds));
-    }
-    double before = tuner->best_seconds();
-    // The overlapped round: submit the batch, then extract this round's
-    // training features while it measures. Other jobs' drivers overlap their
-    // search with this batch on the same pool.
-    PlannedRound round = tuner->PlanRound(spec.options.measures_per_round);
-    const int64_t submit_nanos = clock_->NowNanos();
-    PendingMeasureBatch batch = tuner->SubmitPlannedRound(round, &workers_);
-    tuner->ExtractFeatures(&round);
-    const int64_t features_done_nanos = clock_->NowNanos();
-    if (has_deadline) {
-      double remaining = SecondsBetween(clock_->NowNanos(), deadline_nanos);
-      if (!batch.WaitFor(remaining)) {
-        // Deadline passed mid-batch: unstarted trials come back cancelled
-        // (not charged to any budget); in-flight ones finish, so Wait()
-        // below cannot hang.
-        batch.Cancel();
-        deadline_hit = true;
-      }
-    }
-    std::vector<MeasureResult> results = batch.Wait();
-    const int64_t batch_done_nanos = clock_->NowNanos();
-    driver_times.measure_wall_seconds += SecondsBetween(submit_nanos, batch_done_nanos);
-    // Feature extraction started right after submit, so the portion of it
-    // that fits inside the batch's wall time ran fully overlapped.
-    driver_times.overlap_seconds +=
-        std::min(SecondsBetween(submit_nanos, features_done_nanos),
-                 SecondsBetween(submit_nanos, batch_done_nanos));
-    double after = tuner->CommitRound(std::move(round), results);
-    scheduler.RecordRound(pick, before, after);
+    // Other jobs overlap their search with this round's batch on the same
+    // pool.
+    int pick = scheduler.RunRound(round_span.child(), deadline_nanos);
+    // "picked_task", not "task": the core attribution already emits a "task"
+    // key in args (-1 here — the pick isn't known when the span opens).
+    round_span.Arg("picked_task", static_cast<int64_t>(pick));
     ++rounds;
     metrics_.AddCounter("service.rounds_completed", 1, "rounds");
-    if (deadline_hit) {
-      break;
-    }
   }
 
   const int64_t end_nanos = clock_->NowNanos();
@@ -335,11 +303,7 @@ void TuningService::RunJob(JobState* job) {
     }
   }
   report.trials_valid = report.trials - report.trials_invalid;
-  // Per-phase attribution: the tuners' search-side clocks plus the driver's
-  // measurement wall/overlap (the tuners never fill measure_wall on this
-  // overlapped path — TuneRound does on the synchronous one).
   report.phases = scheduler.AggregatePhaseTimes();
-  report.phases.Add(driver_times);
   // All three from the same three clock readings; turnaround is computed as
   // the sum so the identity holds exactly in double arithmetic too.
   report.queue_seconds = SecondsBetween(job->submit_nanos, start_nanos);

@@ -1,29 +1,24 @@
 // Tuning-as-a-service: a long-lived, multi-tenant scheduling core.
 //
-// The legacy entry point (TaskScheduler::Tune) is a synchronous round loop
-// over one job: search and measurement strictly alternate and only one
-// Objective can exist at a time. The TuningService rebuilds that stack as a
-// service: callers Submit() any number of concurrent jobs — each with its
-// own tasks, Objective, trial budget, and deadline — and the service drives
-// them over one shared worker pool, with search (child generation +
-// cost-model scoring) and measurement overlapped as a producer/consumer
-// pipeline:
+// Callers Submit() any number of concurrent jobs — each with its own tasks,
+// Objective, trial budget, and deadline — and the service drives them over
+// one shared worker pool. Each job is a TaskScheduler driven one
+// TaskScheduler::RunRound at a time, between which the service checks the
+// job's cancel flag and deadline. Search and measurement overlap:
 //
 //   * across jobs: while one job's measurement batch occupies the pool (or
 //     sleeps out its emulated device latency), other jobs' drivers keep
 //     searching on the same workers (ParallelFor caller participation
 //     guarantees progress even on a saturated pool);
-//   * within a round: the round's training-feature extraction runs while its
-//     own batch is in flight (Measurer::SubmitBatch is the async seam; the
-//     features are a pure function of the candidates, not the results).
+//   * within a round: TaskTuner::TuneRound extracts the round's training
+//     features while its own batch is in flight.
 //
 // Determinism contract (enforced by the TuningService matrix tests): a job's
 // results are a pure function of its spec. Fixed seeds give bit-identical
 // per-task best latencies and allocation traces for any worker count, any
-// max_concurrent_jobs, and any co-tenant jobs — and identical to the legacy
-// synchronous TaskScheduler::Tune (which Tune() itself now implements by
-// driving the same step-wise NextTask/PlanRound/CommitRound path). Shared
-// caches cannot break this: artifacts are pure functions of (DAG, steps).
+// max_concurrent_jobs, and any co-tenant jobs — the same as TaskScheduler::
+// Tune on the spec, which runs the same RunRound. Shared caches cannot break
+// this: artifacts are pure functions of (DAG, steps).
 // Deadlines are the one wall-clock-dependent feature; a job that hits its
 // deadline has nondeterministic cutoff by nature, but never loses budget
 // accounting (cancelled trials are not spent) and never hangs.
@@ -33,7 +28,8 @@
 // ProgramCache (safe: keys include the DAG hash), so a program one task
 // compiled is served to every structurally similar task for free. Each
 // (job, task) gets a distinct cache client id, so every job reports its own
-// exact cross-task hit rate even with concurrent tenants.
+// exact cross-task hit rate even with concurrent tenants. Tasks with an empty
+// tag, or with a cache already injected via SearchOptions, keep their own.
 #ifndef ANSOR_SRC_SERVICE_TUNING_SERVICE_H_
 #define ANSOR_SRC_SERVICE_TUNING_SERVICE_H_
 
@@ -75,7 +71,8 @@ struct JobSpec {
   // Wall-clock deadline measured from job *start* (not submit). When it
   // passes, the in-flight measurement batch is cancelled (unstarted trials
   // return cancelled and are not charged to any budget) and the job
-  // finishes with JobStatus::kDeadlineExceeded. Infinity = no deadline.
+  // finishes with JobStatus::kDeadlineExceeded. Infinity, or a deadline too
+  // far out to count in int64 nanoseconds, = no deadline.
   double deadline_seconds = std::numeric_limits<double>::infinity();
   Measurer* measurer = nullptr;  // required; not owned
   CostModel* model = nullptr;    // required; not owned
@@ -121,9 +118,8 @@ struct JobReport {
   double run_seconds = 0.0;         // first round -> terminal
   double turnaround_seconds = 0.0;  // submit -> terminal
   // Where run_seconds went: per-phase attribution summed over the job's
-  // tuners (sketch/search/feature/commit) plus the driver-observed
-  // measurement wall time and the search-side work overlapped with in-flight
-  // batches (phases.OverlapFraction() is the pipeline's win).
+  // tuners, including the measurement wall time and the feature extraction
+  // overlapped with in-flight batches (phases.OverlapFraction()).
   SearchPhaseTimes phases;
   // Program-cache traffic attributed to this job's tasks (exact even when
   // the caches are shared with concurrent jobs). cross_client_hits counts
@@ -168,15 +164,9 @@ struct TuningServiceOptions {
   // Shared worker pool backing every job's search and measurement.
   // 0 = hardware concurrency. Results are invariant to this.
   int num_workers = 0;
-  // Jobs driven concurrently; the rest queue FIFO. 1 reproduces the legacy
-  // one-job-at-a-time fleet behavior (and each job is bit-identical to
-  // TaskScheduler::Tune regardless). Results are invariant to this.
+  // Jobs driven concurrently; the rest queue FIFO. Results are invariant to
+  // this.
   int max_concurrent_jobs = 1;
-  // Hand every task with the same nonempty similarity tag — within and
-  // across jobs — one shared service-owned ProgramCache. Tasks with an empty
-  // tag (or with a cache already injected via SearchOptions) keep their own.
-  bool share_caches_by_tag = true;
-  size_t shared_cache_capacity = ProgramCache::kDefaultCapacity;
   // Fleet-wide record store: when set, every job's valid measurements are
   // appended here (deduplicated by signature, attributed per (job, task)
   // client id — see JobReport::records). Not owned; must outlive the

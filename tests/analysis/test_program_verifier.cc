@@ -315,6 +315,7 @@ TEST(ProgramVerifierFuzz, StaticAcceptNeverContradictsInterpreter) {
   RandomCostModel model(11);
   std::vector<std::vector<State>> sketches;
   std::vector<std::unique_ptr<EvolutionarySearch>> searches;
+  std::vector<Rng> mutation_rngs(dags.size(), Rng(13));  // one stream per search
   for (ComputeDAG& dag : dags) {
     sketches.push_back(GenerateSketches(&dag));
     searches.push_back(std::make_unique<EvolutionarySearch>(&dag, &model, Rng(13)));
@@ -350,12 +351,13 @@ TEST(ProgramVerifierFuzz, StaticAcceptNeverContradictsInterpreter) {
     }
     for (int64_t m = rng.Int(0, 2); m > 0; --m) {
       EvolutionarySearch& es = *searches[d];
+      Rng* mutation_rng = &mutation_rngs[d];
       State mutated = State::Failure(dag, "unset");
       switch (rng.Int(0, 3)) {
-        case 0: mutated = es.MutateTileSize(s); break;
-        case 1: mutated = es.MutateParallelGranularity(s); break;
-        case 2: mutated = es.MutateVectorize(s); break;
-        default: mutated = es.MutateComputeLocation(s); break;
+        case 0: mutated = es.MutateTileSize(s, mutation_rng); break;
+        case 1: mutated = es.MutateParallelGranularity(s, mutation_rng); break;
+        case 2: mutated = es.MutateVectorize(s, mutation_rng); break;
+        default: mutated = es.MutateComputeLocation(s, mutation_rng); break;
       }
       if (!mutated.failed()) {
         s = std::move(mutated);

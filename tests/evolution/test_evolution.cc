@@ -20,11 +20,12 @@ TEST(Evolution, TileSizeMutationPreservesProductAndSemantics) {
   ComputeDAG dag = testing::MatmulRelu(16, 16, 16);
   auto init = InitPopulation(&dag, 4, 1);
   RandomCostModel model(1);
-  EvolutionarySearch es(&dag, &model, Rng(2));
+  Rng rng(2);
+  EvolutionarySearch es(&dag, &model, rng);
   int mutated_ok = 0;
   for (const State& parent : init) {
     for (int trial = 0; trial < 5; ++trial) {
-      State child = es.MutateTileSize(parent);
+      State child = es.MutateTileSize(parent, &rng);
       if (child.failed()) {
         continue;
       }
@@ -39,10 +40,11 @@ TEST(Evolution, PragmaMutationChangesValue) {
   ComputeDAG dag = testing::MatmulRelu(16, 16, 16);
   auto init = InitPopulation(&dag, 8, 3);
   RandomCostModel model(1);
-  EvolutionarySearch es(&dag, &model, Rng(4));
+  Rng rng(4);
+  EvolutionarySearch es(&dag, &model, rng);
   bool changed = false;
   for (const State& parent : init) {
-    State child = es.MutatePragma(parent);
+    State child = es.MutatePragma(parent, &rng);
     if (child.failed()) {
       continue;
     }
@@ -62,11 +64,12 @@ TEST(Evolution, VectorizeMutationTogglesAnnotation) {
   ComputeDAG dag = testing::MatmulRelu(16, 16, 16);
   auto init = InitPopulation(&dag, 4, 5);
   RandomCostModel model(1);
-  EvolutionarySearch es(&dag, &model, Rng(6));
+  Rng rng(6);
+  EvolutionarySearch es(&dag, &model, rng);
   int ok = 0;
   for (const State& parent : init) {
     for (int t = 0; t < 4; ++t) {
-      State child = es.MutateVectorize(parent);
+      State child = es.MutateVectorize(parent, &rng);
       if (!child.failed()) {
         ++ok;
         EXPECT_EQ(VerifyAgainstNaive(child), "");
@@ -80,10 +83,11 @@ TEST(Evolution, ComputeLocationMutationVerifies) {
   ComputeDAG dag = testing::MatmulRelu(16, 16, 16);
   auto init = InitPopulation(&dag, 6, 7);
   RandomCostModel model(1);
-  EvolutionarySearch es(&dag, &model, Rng(8));
+  Rng rng(8);
+  EvolutionarySearch es(&dag, &model, rng);
   int ok = 0;
   for (const State& parent : init) {
-    State child = es.MutateComputeLocation(parent);
+    State child = es.MutateComputeLocation(parent, &rng);
     if (child.failed() || !Lower(child).ok) {
       continue;  // unsupported placements are rejected downstream
     }
@@ -110,10 +114,11 @@ TEST(Evolution, CrossoverMergesAndVerifies) {
     }
   }
   RandomCostModel model(1);
-  EvolutionarySearch es(&dag, &model, Rng(10));
+  Rng crossover_rng(10);
+  EvolutionarySearch es(&dag, &model, crossover_rng);
   int ok = 0;
   for (int t = 0; t < 10; ++t) {
-    State child = es.Crossover(parents[0], parents[1]);
+    State child = es.Crossover(parents[0], parents[1], &crossover_rng);
     if (child.failed() || !Lower(child).ok) {
       continue;
     }
@@ -134,8 +139,9 @@ TEST(Evolution, CrossoverRejectsMismatchedSkeletons) {
     GTEST_SKIP() << "could not construct mismatched parents";
   }
   RandomCostModel model(1);
-  EvolutionarySearch es(&dag, &model, Rng(12));
-  State child = es.Crossover(a, b);
+  Rng crossover_rng(12);
+  EvolutionarySearch es(&dag, &model, crossover_rng);
+  State child = es.Crossover(a, b, &crossover_rng);
   EXPECT_TRUE(child.failed());
 }
 
@@ -189,13 +195,14 @@ TEST(Evolution, FailedMutationsNormalizeToEmptyStepHistory) {
   ComputeDAG dag = testing::MatmulRelu(16, 16, 16);
   auto init = InitPopulation(&dag, 6, 21);
   RandomCostModel model(1);
-  EvolutionarySearch es(&dag, &model, Rng(22));
+  Rng rng(22);
+  EvolutionarySearch es(&dag, &model, rng);
   for (const State& parent : init) {
     for (int t = 0; t < 8; ++t) {
-      for (const State& child : {es.MutateTileSize(parent), es.MutatePragma(parent),
-                          es.MutateParallelGranularity(parent), es.MutateVectorize(parent),
-                          es.MutateComputeLocation(parent),
-                          es.Crossover(parent, init[0])}) {
+      for (const State& child :
+           {es.MutateTileSize(parent, &rng), es.MutatePragma(parent, &rng),
+            es.MutateParallelGranularity(parent, &rng), es.MutateVectorize(parent, &rng),
+            es.MutateComputeLocation(parent, &rng), es.Crossover(parent, init[0], &rng)}) {
         if (child.failed()) {
           EXPECT_TRUE(child.steps().empty()) << child.error();
           EXPECT_FALSE(child.error().empty());

@@ -199,10 +199,13 @@ TEST(Measurer, BatchMatchesSingle) {
     State s(&dag);
     states.push_back(std::move(s));
   }
-  auto results = measurer.MeasureBatch(states);
+  PendingMeasureBatch pending = measurer.SubmitBatch(states);
+  std::vector<MeasureResult> results = pending.Wait();
+  EXPECT_TRUE(pending.done());
   ASSERT_EQ(results.size(), 8u);
   for (const auto& r : results) {
     ASSERT_TRUE(r.valid);
+    EXPECT_FALSE(r.cancelled);
     EXPECT_DOUBLE_EQ(r.seconds, results[0].seconds);
   }
   EXPECT_EQ(measurer.trial_count(), 8);
@@ -252,29 +255,6 @@ TEST(MeasurerVerifyCadence, ResetTrialCountResetsVerifyPhase) {
     ASSERT_TRUE(measurer.Measure(state).valid);
   }
   EXPECT_EQ(measurer.verification_count(), 4);  // cadence restarted at trial 0
-}
-
-TEST(Measurer, SubmitBatchMatchesMeasureBatch) {
-  ComputeDAG dag = testing::Matmul(32, 32, 32);
-  std::vector<State> states;
-  for (int i = 1; i <= 4; ++i) {
-    State s(&dag);
-    ASSERT_TRUE(s.Split("C", 0, {1 << i}));
-    states.push_back(std::move(s));
-  }
-  Measurer sync_measurer(MachineModel::IntelCpu20Core());
-  Measurer async_measurer(MachineModel::IntelCpu20Core());
-  std::vector<MeasureResult> sync_results = sync_measurer.MeasureBatch(states);
-  PendingMeasureBatch pending = async_measurer.SubmitBatch(states);
-  std::vector<MeasureResult> async_results = pending.Wait();
-  EXPECT_TRUE(pending.done());
-  ASSERT_EQ(async_results.size(), sync_results.size());
-  for (size_t i = 0; i < sync_results.size(); ++i) {
-    EXPECT_EQ(async_results[i].valid, sync_results[i].valid);
-    EXPECT_FALSE(async_results[i].cancelled);
-    EXPECT_DOUBLE_EQ(async_results[i].seconds, sync_results[i].seconds);
-  }
-  EXPECT_EQ(async_measurer.trial_count(), sync_measurer.trial_count());
 }
 
 TEST(Measurer, CancelledTrialsAreNotCharged) {

@@ -382,7 +382,7 @@ TEST(MeasurerFuzz, BatchWithMixedValidity) {
     }
     batch.push_back(std::move(s));
   }
-  auto results = measurer.MeasureBatch(batch);
+  std::vector<MeasureResult> results = measurer.SubmitBatch(batch).Wait();
   ASSERT_EQ(results.size(), 6u);
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].valid, i % 2 == 0);

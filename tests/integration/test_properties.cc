@@ -162,23 +162,24 @@ TEST_P(EvolutionEditProperty, MutationsAndCrossoverStaySound) {
     }
   }
   RandomCostModel model(seed);
-  EvolutionarySearch es(&dag, &model, Rng(seed + 1));
+  Rng op_rng(seed + 1);
+  EvolutionarySearch es(&dag, &model, op_rng);
   int verified = 0;
   for (int trial = 0; trial < 12; ++trial) {
     State child(&dag);
     switch (trial % 4) {
       case 0:
-        child = es.MutateTileSize(population[rng.Index(population.size())]);
+        child = es.MutateTileSize(population[rng.Index(population.size())], &op_rng);
         break;
       case 1:
-        child = es.MutateVectorize(population[rng.Index(population.size())]);
+        child = es.MutateVectorize(population[rng.Index(population.size())], &op_rng);
         break;
       case 2:
-        child = es.MutateComputeLocation(population[rng.Index(population.size())]);
+        child = es.MutateComputeLocation(population[rng.Index(population.size())], &op_rng);
         break;
       default:
         child = es.Crossover(population[rng.Index(population.size())],
-                             population[rng.Index(population.size())]);
+                             population[rng.Index(population.size())], &op_rng);
         break;
     }
     if (child.failed() || !Lower(child).ok) {

@@ -248,44 +248,6 @@ TEST(SchedulerGradient, EpsZeroTraceInvariantToSchedulerSeed) {
   EXPECT_EQ(run(1), run(999));
 }
 
-TEST(Scheduler, StepwiseDriveMatchesTune) {
-  // Driving the resumable-round interface by hand — including the async
-  // submit / overlapped feature extraction the TuningService uses — must be
-  // bit-identical to the legacy synchronous Tune().
-  std::vector<SearchTask> tasks = {MakeTask(testing::Matmul(32, 32, 32), "a"),
-                                   MakeTask(testing::Matmul(64, 32, 32), "b")};
-  std::vector<NetworkSpec> nets = {{"net", {0, 1}}};
-  TaskSchedulerOptions options = FastOptions();
-
-  Measurer measurer_a(MachineModel::IntelCpu20Core());
-  GbdtCostModel model_a;
-  TaskScheduler legacy(tasks, nets, Objective::SumLatency(), &measurer_a, &model_a,
-                       options);
-  legacy.Tune(6);
-
-  Measurer measurer_b(MachineModel::IntelCpu20Core());
-  GbdtCostModel model_b;
-  TaskScheduler stepwise(tasks, nets, Objective::SumLatency(), &measurer_b, &model_b,
-                         options);
-  for (int round = 0; round < 6; ++round) {
-    int pick = stepwise.NextTask();
-    TaskTuner* tuner = stepwise.tuners()[static_cast<size_t>(pick)].get();
-    double before = tuner->best_seconds();
-    PlannedRound planned = tuner->PlanRound(options.measures_per_round);
-    PendingMeasureBatch batch = tuner->SubmitPlannedRound(planned);
-    tuner->ExtractFeatures(&planned);  // overlaps the in-flight batch
-    double after = tuner->CommitRound(std::move(planned), batch.Wait());
-    stepwise.RecordRound(pick, before, after);
-  }
-
-  EXPECT_EQ(legacy.allocation_trace(), stepwise.allocation_trace());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    EXPECT_DOUBLE_EQ(legacy.tuners()[i]->best_seconds(),
-                     stepwise.tuners()[i]->best_seconds());
-  }
-  EXPECT_EQ(measurer_a.trial_count(), measurer_b.trial_count());
-}
-
 TEST(SchedulerGradient, HistoryIsMonotoneNonIncreasing) {
   Measurer measurer(MachineModel::IntelCpu20Core());
   GbdtCostModel model;

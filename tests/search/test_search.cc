@@ -30,6 +30,23 @@ TEST(SearchPolicy, TuneFindsValidProgram) {
   EXPECT_FALSE(result.history.empty());
 }
 
+TEST(SearchPolicy, TuneTaskHistoryGolden) {
+  // Fixed-seed (trials, best seconds) history pinned bit for bit. 45 trials in
+  // rounds of 8 ends on a short batch of 5.
+  Measurer measurer(MachineModel::IntelCpu20Core());
+  GbdtCostModel model;
+  SearchTask task = MakeTask(testing::Matmul(64, 64, 64));
+  TuneResult result = TuneTask(task, &measurer, &model, /*trials=*/45,
+                               /*measures_per_round=*/8, testing::SmallSearchOptions());
+  const std::vector<std::pair<int64_t, double>> golden = {
+      {8, 0x1.777a24d9e0864p-15},  {16, 0x1.777a24d9e0864p-15},
+      {24, 0x1.777a24d9e0864p-15}, {32, 0x1.fc4ddefff1c25p-16},
+      {40, 0x1.fc4ddefff1c25p-16}, {45, 0x1.fc4ddefff1c25p-16}};
+  EXPECT_EQ(result.history, golden);
+  EXPECT_EQ(result.best_seconds, 0x1.fc4ddefff1c25p-16);
+  EXPECT_EQ(measurer.trial_count(), 45);
+}
+
 TEST(SearchPolicy, SearchImprovesOverRounds) {
   Measurer measurer(MachineModel::IntelCpu20Core());
   GbdtCostModel model;
@@ -106,7 +123,7 @@ TEST(SearchPolicy, DeterministicallyInvalidProgramsStopConsumingBudget) {
   // forever: after max_invalid_measures failed attempts its signature is
   // blacklisted like a measured program. The injector fails everything and
   // records how often each program is measured.
-  std::mutex mu;  // MeasureBatch calls the injector from pool threads
+  std::mutex mu;  // SubmitBatch calls the injector from pool threads
   std::unordered_map<std::string, int> measured_count;
   MeasureOptions mopts;
   mopts.fail_injector = [&](const State& s) {

@@ -1,7 +1,7 @@
-// TuningService tests: the determinism matrix (fixed-seed results must be
-// bit-identical to the legacy synchronous TaskScheduler::Tune for any worker
-// count and any concurrency), cross-task cache sharing, and chaos (deadline
-// cancellation under injected measurement failures: no hang, no lost budget).
+// TuningService tests: the determinism matrix (fixed-seed results must match
+// pinned goldens bit for bit for any worker count and any concurrency),
+// cross-task cache sharing, and chaos (deadline cancellation under injected
+// measurement failures: no hang, no lost budget).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,7 +18,7 @@ namespace {
 
 // Small per-job budget: large enough that the allocation trace leaves warm-up
 // and the gradient/eps-greedy picks matter, small enough that the full 2x2
-// matrix (plus legacy references) stays well inside the CI test timeout.
+// matrix stays well inside the CI test timeout.
 TaskSchedulerOptions ServiceTestOptions(uint64_t seed) {
   TaskSchedulerOptions options;
   options.measures_per_round = 6;
@@ -51,29 +51,21 @@ JobSpec MakeJob(int job, int rounds, Measurer* measurer, CostModel* model) {
   return spec;
 }
 
-TEST(TuningService, DeterminismMatrixMatchesLegacy) {
+TEST(TuningService, DeterminismMatrixGolden) {
   constexpr int kJobs = 3;
   constexpr int kRounds = 4;
 
-  // Legacy references: one synchronous TaskScheduler::Tune per job spec, each
-  // with its own fresh measurer and cost model.
-  std::vector<std::vector<int>> ref_trace(kJobs);
-  std::vector<std::vector<double>> ref_best(kJobs);
-  for (int j = 0; j < kJobs; ++j) {
-    Measurer measurer(MachineModel::IntelCpu20Core());
-    GbdtCostModel model;
-    JobSpec spec = MakeJob(j, kRounds, &measurer, &model);
-    TaskScheduler scheduler(spec.tasks, spec.networks, spec.objective, &measurer,
-                            &model, spec.options);
-    scheduler.Tune(kRounds);
-    ref_trace[j] = scheduler.allocation_trace();
-    for (const auto& tuner : scheduler.tuners()) {
-      ref_best[j].push_back(tuner->best_seconds());
-    }
-  }
+  // Fixed-seed results of the three job specs, pinned bit for bit (best
+  // seconds as hex-float literals; each job runs with its own fresh measurer
+  // and cost model).
+  const std::vector<int> golden_trace[kJobs] = {{0, 1, 0, 1}, {0, 1, 1, 1}, {0, 1, 0, 1}};
+  const std::vector<double> golden_best[kJobs] = {
+      {0x1.7c4076c44803fp-19, 0x1.7c0f793d94478p-19},
+      {0x1.20fb3b73b036p-18, 0x1.2276e847a129fp-18},
+      {0x1.6038d20cbd4b3p-19, 0x1.6038d20cbd4b3p-19}};
 
-  // Service runs: every (worker count, concurrency) combination must
-  // reproduce the references bit-for-bit, shared per-tag caches and all.
+  // Every (worker count, concurrency) combination must reproduce the goldens
+  // bit for bit, shared per-tag caches and all.
   for (int workers : {1, 4}) {
     for (int concurrent : {1, 3}) {
       TuningServiceOptions service_options;
@@ -98,11 +90,8 @@ TEST(TuningService, DeterminismMatrixMatchesLegacy) {
         const JobReport& report = handles[j].report();
         EXPECT_EQ(report.status, JobStatus::kCompleted);
         EXPECT_EQ(report.rounds_completed, kRounds);
-        EXPECT_EQ(report.allocation_trace, ref_trace[j]);
-        ASSERT_EQ(report.best_seconds.size(), ref_best[j].size());
-        for (size_t t = 0; t < ref_best[j].size(); ++t) {
-          EXPECT_DOUBLE_EQ(report.best_seconds[t], ref_best[j][t]);
-        }
+        EXPECT_EQ(report.allocation_trace, golden_trace[j]);
+        EXPECT_EQ(report.best_seconds, golden_best[j]);
         // The job's trial accounting must agree with its dedicated measurer.
         EXPECT_EQ(report.trials, measurers[j]->trial_count());
       }
@@ -188,6 +177,25 @@ TEST(TuningService, DeadlineCancellationNoHangNoLostBudget) {
   const JobReport& report = handle.report();
   EXPECT_EQ(report.status, JobStatus::kDeadlineExceeded);
   EXPECT_LT(report.rounds_completed, 1000);
+  EXPECT_EQ(report.trials, measurer.trial_count());
+}
+
+TEST(TuningService, FarFutureDeadlineRunsFullBudget) {
+  // A finite deadline whose nanosecond count overflows int64 is no deadline:
+  // the job spends its whole budget instead of stopping before round one.
+  Measurer measurer(MachineModel::IntelCpu20Core());
+  GbdtCostModel model;
+  JobSpec spec = MakeJob(0, /*rounds=*/2, &measurer, &model);
+  spec.deadline_seconds = 1e10;
+  TuningServiceOptions service_options;
+  service_options.num_workers = 1;
+  TuningService service(service_options);
+  JobHandle handle = service.Submit(std::move(spec));
+  ASSERT_TRUE(handle.Wait(60.0));
+  const JobReport& report = handle.report();
+  EXPECT_EQ(report.status, JobStatus::kCompleted);
+  EXPECT_EQ(report.rounds_completed, 2);
+  EXPECT_GT(report.trials, 0);
   EXPECT_EQ(report.trials, measurer.trial_count());
 }
 
